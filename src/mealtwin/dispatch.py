@@ -51,23 +51,21 @@ def encode_dispatch_state(sim: SimState, oid: int) -> Tuple[np.ndarray, np.ndarr
     o = sim.orders[oid]
     if o.status != "pending":
         raise ContractError(f"order {oid} is not pending")
-    fleet = sim.config.fleet_size
     field = sim.gap_field()
-    s = np.zeros(1 + 3 * fleet, dtype=np.float64)
-    mask = np.zeros(fleet + 1, dtype=bool)
+    s = np.zeros(1 + 3 * sim.config.fleet_size, dtype=np.float64)
     s[0] = o.est_ready - sim.clock
-    mask[fleet] = True
     for c in sim.couriers:
         g, dt = sim.courier_eta_idle(c.id)
         base = 1 + 3 * c.id
         s[base] = dt
         s[base + 1] = sim.region.distance(g, o.restaurant)
         s[base + 2] = field[g]
-        mask[c.id] = c.delivery_task_count() < sim.config.max_delivery_tasks
-    return s, mask
+    return s, task_count_mask(sim)
 
 
 def task_count_mask(sim: SimState) -> np.ndarray:
+    """Valid dispatch actions: couriers below the delivery-task cap, plus
+    postponing (the last action), which is always valid."""
     mask = np.zeros(sim.config.fleet_size + 1, dtype=bool)
     mask[-1] = True
     for c in sim.couriers:
@@ -203,31 +201,40 @@ class NearestIdlePolicy:
 
 
 class ConvDdqnPolicy:
-    """Greedy (or epsilon-greedy) dispatching from a trained value network."""
+    """Dispatching from a value network.
+
+    Without a learner the policy is greedy.  With one it explores with the
+    learner's current epsilon and hands each decision's transition, and the
+    raw reward, to `learner.record`: this is how the network is trained.
+    """
 
     def __init__(
         self,
         net: QNet,
         params: DispatchRewardParams = DispatchRewardParams(),
-        epsilon: float = 0.0,
+        learner=None,
         trace: Optional[list] = None,
     ):
         self.net = net
         self.params = params
-        self.epsilon = epsilon
+        self.learner = learner
         self.trace = trace
 
     def decide(self, sim: SimState, oid: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         s, mask = encode_dispatch_state(sim, oid)
         q = self.net.forward(s)
-        action = select_action(q, mask, self.epsilon, sim.rng_policy)
+        epsilon = 0.0 if self.learner is None else self.learner.epsilon()
+        action = select_action(q, mask, epsilon, sim.rng_policy)
         return action, s, mask, q
 
     def __call__(self, sim: SimState, oid: int, remaining: List[int]) -> None:
         action, s, mask, q = self.decide(sim, oid)
         fleet = sim.config.fleet_size
         sd = float(s[3 + 3 * action]) if action < fleet else None
-        reward, _ = apply_dispatch_decision(sim, oid, action, self.params, sd_gap=sd)
+        reward, removed = apply_dispatch_decision(sim, oid, action, self.params, sd_gap=sd)
+        if self.learner is not None:
+            s2, mask2, done = dispatch_next_state(sim, s, action, removed, remaining)
+            self.learner.record(make_transition(s, action, reward, s2, mask2, done), reward)
         if self.trace is not None:
             self.trace.append(
                 {

@@ -46,10 +46,6 @@ def hex_distance(a: HexCoord, b: HexCoord) -> int:
     return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
 
 
-def travel_minutes(a: HexCoord, b: HexCoord) -> int:
-    return MINUTES_PER_UNIT * hex_distance(a, b)
-
-
 def shortest_path(a: HexCoord, b: HexCoord) -> List[HexCoord]:
     """Deterministic shortest lattice path from a to b, inclusive of both ends.
 
@@ -77,7 +73,6 @@ class ServiceRegion:
     grids: Tuple[HexCoord, ...]
     restaurant_flags: Tuple[bool, ...]
     layout_name: str = "custom"
-    _index: Dict[HexCoord, int] = field(default_factory=dict, repr=False, compare=False)
     _neighbor_ids: Tuple[Tuple[Optional[int], ...], ...] = field(
         default=(), repr=False, compare=False
     )
@@ -90,7 +85,6 @@ class ServiceRegion:
             if coord in index:
                 raise ValueError(f"duplicate grid coordinate {coord}")
             index[coord] = gid
-        object.__setattr__(self, "_index", index)
         neighbor_ids = tuple(
             tuple(index.get(coord.neighbor(slot)) for slot in range(6))
             for coord in self.grids
@@ -117,15 +111,6 @@ class ServiceRegion:
     def restaurant_ids(self) -> Tuple[int, ...]:
         return tuple(g for g, flag in enumerate(self.restaurant_flags) if flag)
 
-    def id_of(self, coord: HexCoord) -> int:
-        try:
-            return self._index[coord]
-        except KeyError:
-            raise ValueError(f"{coord} is not inside the service region") from None
-
-    def contains(self, coord: HexCoord) -> bool:
-        return coord in self._index
-
     def neighbor_ids(self, gid: int) -> Tuple[Optional[int], ...]:
         """Slot-ordered neighbor grid ids; None where the slot falls outside."""
         self._check(gid)
@@ -144,14 +129,6 @@ class ServiceRegion:
     def _check(self, gid: int) -> None:
         if not 0 <= gid < len(self.grids):
             raise ValueError(f"grid id {gid} outside region (0..{len(self.grids) - 1})")
-
-
-def neighbors(gid: int, region: ServiceRegion) -> Tuple[Optional[HexCoord], ...]:
-    """Slot-ordered neighbor coordinates of a region grid; None for absent slots."""
-    return tuple(
-        region.grids[nid] if nid is not None else None
-        for nid in region.neighbor_ids(gid)
-    )
 
 
 def offset_rect_region(

@@ -247,10 +247,6 @@ class ReplayBuffer:
             self._data[self._next] = tr
         self._next = (self._next + 1) % self.capacity
 
-    def clear(self) -> None:
-        self._data = []
-        self._next = 0
-
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         if len(self._data) == 0:
             raise ContractError("cannot sample from an empty replay buffer")

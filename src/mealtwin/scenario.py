@@ -13,7 +13,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -55,7 +55,6 @@ class Order:
     pickup_distance: Optional[int] = None
     pickup_time: Optional[float] = None
     delivered_at: Optional[float] = None
-    last_decision: Optional[int] = None
 
     @property
     def est_ready(self) -> float:
@@ -105,11 +104,13 @@ class ScenarioConfig:
             if gid not in range(len(self.region)):
                 raise ConfigError(f"rate table references unknown grid {gid}")
             for hour, rate in by_hour.items():
-                if rate < 0:
-                    raise ConfigError(f"negative rate for grid {gid} hour {hour}")
+                if not rate >= 0:  # also rejects NaN
+                    raise ConfigError(f"rate {rate} for grid {gid} hour {hour} is not >= 0")
         for origin, row in self.od_probs.items():
             if origin not in range(len(self.region)):
                 raise ConfigError(f"od table references unknown grid {origin}")
+            if not all(p >= 0 for p in row.values()):  # also rejects NaN
+                raise ConfigError(f"od probabilities for grid {origin} must be >= 0")
             total = sum(row.values())
             if row and abs(total - 1.0) > 1e-9:
                 raise ConfigError(
@@ -128,9 +129,6 @@ class ScenarioConfig:
             return self.hourly_rates[gid][hour]
         except KeyError:
             raise ConfigError(f"no arrival rate configured for grid {gid} hour {hour}")
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=seed, _od_cache={})
 
 
 def sample_prep(config: ScenarioConfig, rng: np.random.Generator) -> Tuple[float, float]:

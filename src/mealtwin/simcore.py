@@ -278,7 +278,6 @@ class SimState:
         o.assigned_courier = cid
         o.courier_arrival = arrival
         o.pickup_distance = d
-        o.last_decision = self.clock
         self.pending.remove(oid)
         c.queue.append(Task(DELIVERY, order_id=oid))
         if c.status == IDLE:
@@ -299,7 +298,6 @@ class SimState:
         o = self.orders[oid]
         if o.status != "pending":
             raise ContractError(f"order {oid} is not pending")
-        o.last_decision = self.clock
         if remove_overdue:
             o.status = "overdue"
             self.pending.remove(oid)
@@ -312,7 +310,7 @@ class SimState:
         c = self.couriers[cid]
         if c.status != IDLE:
             raise ContractError(f"courier {cid} is not idle")
-        if target not in self.region.neighbor_ids(c.grid):
+        if target is None or target not in self.region.neighbor_ids(c.grid):
             raise ContractError(
                 f"grid {target} is not adjacent to courier {cid} at {c.grid}"
             )
@@ -322,14 +320,14 @@ class SimState:
         self._start_task(c, float(self.clock))
         self.log(f"courier:{cid}", "realloc", {"courier": cid, "from": origin, "to": target})
 
+    def steering_eligible(self, cid: int) -> bool:
+        """Whether the courier is idle strictly longer than the idle threshold."""
+        c = self.couriers[cid]
+        return c.status == IDLE and (self.clock - c.idle_since) > self.config.idle_threshold_min
+
     def eligible_steering_ids(self) -> List[int]:
-        """Couriers idle strictly longer than the idle threshold, in id order."""
-        limit = self.config.idle_threshold_min
-        return [
-            c.id
-            for c in self.couriers
-            if c.status == IDLE and (self.clock - c.idle_since) > limit
-        ]
+        """Couriers eligible for steering, in id order."""
+        return [c.id for c in self.couriers if self.steering_eligible(c.id)]
 
     # ---------------------------------------------------------------- the loop
 
@@ -369,15 +367,11 @@ class SimState:
         if steer_fn is not None:
             for cid in self.eligible_steering_ids():
                 steer_fn(self, cid)
-        gaps = self.idle_counts() - self.pending_counts()
+        idle, pending = self.idle_counts(), self.pending_counts()
         self.log(
             "system",
             "snapshot",
-            {
-                "idle": self.idle_counts().tolist(),
-                "pending": self.pending_counts().tolist(),
-                "gap": gaps.tolist(),
-            },
+            {"idle": idle.tolist(), "pending": pending.tolist(), "gap": (idle - pending).tolist()},
         )
         self._advance()
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ContractError
 from .hexgrid import ServiceRegion
-from .rlcore import QNet, select_action
-from .simcore import IDLE, SimState
+from .rlcore import QNet, Transition, select_action
+from .simcore import SimState
 
 STAY = 0
 NUM_SLOTS = 7  # self plus the six canonical neighbor directions
@@ -31,16 +31,6 @@ def grid_neighborhood(region: ServiceRegion, gid: int) -> List[int]:
 
 def score_from_field(region: ServiceRegion, field: np.ndarray, gid: int) -> float:
     return float(sum(field[g] for g in grid_neighborhood(region, gid)))
-
-
-def local_score(sim: SimState, gid: int, horizon: Optional[str] = None) -> float:
-    """Sum of supply-demand gaps over the grid's immediate neighborhood."""
-    return score_from_field(sim.region, sim.gap_field(horizon), gid)
-
-
-def is_eligible(sim: SimState, cid: int) -> bool:
-    c = sim.couriers[cid]
-    return c.status == IDLE and (sim.clock - c.idle_since) > sim.config.idle_threshold_min
 
 
 def encode_from_field(
@@ -63,7 +53,7 @@ def encode_from_field(
 
 
 def encode_steer_state(sim: SimState, cid: int) -> Tuple[np.ndarray, np.ndarray]:
-    if not is_eligible(sim, cid):
+    if not sim.steering_eligible(cid):
         raise ContractError(f"courier {cid} is not eligible for steering")
     return encode_from_field(sim, sim.gap_field(), sim.couriers[cid].grid)
 
@@ -110,23 +100,35 @@ def apply_steer_decision(sim: SimState, cid: int, action: int) -> Tuple[float, i
 
 
 class SteerDdqnPolicy:
-    """Greedy (or epsilon-greedy) steering from a trained value network."""
+    """Steering from a value network.
 
-    def __init__(self, net: QNet, epsilon: float = 0.0, trace: Optional[list] = None):
+    Without a learner the policy is greedy.  With one it explores with the
+    learner's current epsilon and hands each decision's transition, and the
+    raw reward, to `learner.record`: this is how the network is trained.
+    """
+
+    def __init__(self, net: QNet, learner=None, trace: Optional[list] = None):
         self.net = net
-        self.epsilon = epsilon
+        self.learner = learner
         self.trace = trace
 
     def decide(self, sim: SimState, cid: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         s, mask = encode_steer_state(sim, cid)
         q = self.net.forward(s)
-        action = select_action(q, mask, self.epsilon, sim.rng_policy)
+        epsilon = 0.0 if self.learner is None else self.learner.epsilon()
+        action = select_action(q, mask, epsilon, sim.rng_policy)
         return action, s, mask, q
 
     def __call__(self, sim: SimState, cid: int) -> None:
         origin = sim.couriers[cid].grid
         action, s, mask, q = self.decide(sim, cid)
         reward, dest = apply_steer_decision(sim, cid, action)
+        if self.learner is not None:
+            s2, mask2 = encode_from_field(sim, sim.gap_field(), dest)
+            done = sim.clock == sim.config.shift_minutes - 1
+            self.learner.record(
+                Transition(s=s, a=action, r=reward, s2=s2, done=done, mask2=mask2), reward
+            )
         if self.trace is not None:
             self.trace.append(
                 {

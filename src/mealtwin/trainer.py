@@ -4,9 +4,12 @@ The two policies are never trained simultaneously.  Phase 1 trains the
 dispatching network in an environment without steering.  Phase 2 freezes it
 and trains the steering network against greedy dispatching.  Phase 3 freezes
 steering and fine-tunes dispatching with a reduced exploration schedule.
-Each phase owns fresh learner state (replay buffer, optimizer, target net,
-epsilon counter); converged phases stop at their planned episode count,
-unconverged ones extend in blocks up to twice the plan.
+Every phase decides with the policy classes that evaluation runs; the
+network being trained gets a learner attached, which sets its exploration
+rate and records its transitions.  Each phase owns fresh learner state
+(replay buffer, optimizer, target net, epsilon counter); converged phases
+stop at their planned episode count, unconverged ones extend in blocks up to
+twice the plan.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .rlcore import (
     epsilon_schedule,
     learn,
     maybe_sync_target,
-    select_action,
     steering_qnet,
 )
 from .scenario import ScenarioConfig, make_rng
@@ -144,14 +146,19 @@ class _Learner:
         self.learn_updates = 0
         self.decisions = 0
         self.env_steps = 0
+        self.episode_return = 0.0
         self.losses: List[float] = []
 
     def epsilon(self) -> float:
         return epsilon_schedule(self.learn_updates, start=self.epsilon_start)
 
-    def after_decision(self) -> None:
+    def record(self, transition: Transition, raw_reward: float) -> None:
+        """Store one decision of the training policy and count it toward the
+        target sync and the episode's raw-reward return."""
+        self.buffer.push(transition)
         self.decisions += 1
         maybe_sync_target(self.net, self.target, self.decisions, self.sync_every)
+        self.episode_return += raw_reward
 
     def after_env_step(self, plan: TrainingPlan) -> None:
         self.env_steps += 1
@@ -165,42 +172,6 @@ class _Learner:
         self.losses.append(loss)
 
 
-class _EpisodeStats:
-    def __init__(self) -> None:
-        self.ret = 0.0
-
-
-def _training_dispatch_fn(learner: _Learner, params: dsp.DispatchRewardParams, stats: _EpisodeStats):
-    def fn(sim: SimState, oid: int, remaining: List[int]) -> None:
-        s, mask = dsp.encode_dispatch_state(sim, oid)
-        q = learner.net.forward(s)
-        action = select_action(q, mask, learner.epsilon(), sim.rng_policy)
-        fleet = sim.config.fleet_size
-        sd = float(s[3 + 3 * action]) if action < fleet else None
-        raw, removed = dsp.apply_dispatch_decision(sim, oid, action, params, sd_gap=sd)
-        s2, mask2, done = dsp.dispatch_next_state(sim, s, action, removed, remaining)
-        learner.buffer.push(dsp.make_transition(s, action, raw, s2, mask2, done))
-        learner.after_decision()
-        stats.ret += raw
-
-    return fn
-
-
-def _training_steer_fn(learner: _Learner, stats: _EpisodeStats):
-    def fn(sim: SimState, cid: int) -> None:
-        s, mask = steer.encode_steer_state(sim, cid)
-        q = learner.net.forward(s)
-        action = select_action(q, mask, learner.epsilon(), sim.rng_policy)
-        raw, dest = steer.apply_steer_decision(sim, cid, action)
-        s2, mask2 = steer.encode_from_field(sim, sim.gap_field(), dest)
-        done = sim.clock == sim.config.shift_minutes - 1
-        learner.buffer.push(Transition(s=s, a=action, r=raw, s2=s2, done=done, mask2=mask2))
-        learner.after_decision()
-        stats.ret += raw
-
-    return fn
-
-
 def _run_phase(
     report: TrainingReport,
     name: str,
@@ -210,8 +181,8 @@ def _run_phase(
     config: ScenarioConfig,
     predictor,
     learner: _Learner,
-    make_dispatch_fn,
-    make_steer_fn,
+    dispatch_policy: dsp.ConvDdqnPolicy,
+    steer_policy: Optional[steer.SteerDdqnPolicy],
     phase_index: int,
     dispatch_net: QNet,
     steering_net: QNet,
@@ -224,7 +195,7 @@ def _run_phase(
     budget = planned
     episode = 0
     while episode < budget:
-        stats = _EpisodeStats()
+        learner.episode_return = 0.0
         sim = SimState(
             config,
             mode=plan.mode,
@@ -233,10 +204,8 @@ def _run_phase(
         )
         losses_before = len(learner.losses)
         try:
-            dispatch_fn = make_dispatch_fn(stats)
-            steer_fn = make_steer_fn(stats) if make_steer_fn is not None else None
             for _ in range(config.shift_minutes):
-                sim.step(dispatch_fn, steer_fn)
+                sim.step(dispatch_policy, steer_policy)
                 learner.after_env_step(plan)
             sim.finish()
         except NumericalError as exc:
@@ -246,7 +215,7 @@ def _run_phase(
         phase.episodes.append(
             EpisodeRecord(
                 index=episode,
-                ret=stats.ret,
+                ret=learner.episode_return,
                 mean_loss=float(np.mean(new_losses)) if new_losses else None,
                 epsilon=learner.epsilon(),
                 learn_updates=learner.learn_updates,
@@ -294,7 +263,7 @@ def sandwich_train(
         config,
         predictor,
         learner1,
-        lambda stats: _training_dispatch_fn(learner1, reward_params, stats),
+        dsp.ConvDdqnPolicy(dispatch_net, reward_params, learner1),
         None,
         0,
         dispatch_net,
@@ -302,7 +271,6 @@ def sandwich_train(
     )
 
     learner2 = _Learner(steering_net, plan, 1, plan.epsilon_start)
-    frozen_dispatch = dsp.ConvDdqnPolicy(dispatch_net, reward_params, epsilon=0.0)
     _run_phase(
         report,
         "phase2",
@@ -312,8 +280,8 @@ def sandwich_train(
         config,
         predictor,
         learner2,
-        lambda stats: frozen_dispatch,
-        lambda stats: _training_steer_fn(learner2, stats),
+        dsp.ConvDdqnPolicy(dispatch_net, reward_params),
+        steer.SteerDdqnPolicy(steering_net, learner2),
         1,
         dispatch_net,
         steering_net,
@@ -322,7 +290,6 @@ def sandwich_train(
     learner3 = _Learner(
         dispatch_net, plan, 2, plan.epsilon_start * plan.phase3_epsilon_scale
     )
-    frozen_steering = steer.SteerDdqnPolicy(steering_net, epsilon=0.0)
     _run_phase(
         report,
         "phase3",
@@ -332,8 +299,8 @@ def sandwich_train(
         config,
         predictor,
         learner3,
-        lambda stats: _training_dispatch_fn(learner3, reward_params, stats),
-        lambda stats: frozen_steering,
+        dsp.ConvDdqnPolicy(dispatch_net, reward_params, learner3),
+        steer.SteerDdqnPolicy(steering_net),
         2,
         dispatch_net,
         steering_net,

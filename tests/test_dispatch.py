@@ -4,9 +4,13 @@ The three reward cases (92, 85, 105) are frozen hand calculations over the
 component weights (-5, -1, -3, 5) and base 100.
 """
 
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from mealtwin import dispatch
 from mealtwin.dispatch import (
     BASE_REWARD,
     OVERDUE_REWARD,
@@ -27,7 +31,7 @@ from mealtwin.dispatch import (
 )
 from mealtwin.errors import ContractError
 from mealtwin.hexgrid import default_region
-from mealtwin.rlcore import dispatch_qnet
+from mealtwin.rlcore import dispatch_qnet, select_action
 from mealtwin.scenario import Order, ScenarioConfig, make_rng
 from mealtwin.simcore import MODE_MYOPIC, SimState
 
@@ -295,6 +299,50 @@ def test_conv_policy_greedy_leaves_policy_stream_untouched():
     ConvDdqnPolicy(dispatch_qnet(3, rng=make_rng(1))).decide(sim, o.id)
     after = sim.rng_policy.bit_generator.state["state"]["state"]
     assert before == after
+
+
+def stub_learner(epsilon: float) -> SimpleNamespace:
+    """A fixed exploration rate; keeps every recorded (transition, raw reward)."""
+    records = []
+    return SimpleNamespace(
+        epsilon=lambda: epsilon, record=lambda *args: records.append(args), records=records
+    )
+
+
+def test_conv_policy_learner_records_each_decision(monkeypatch):
+    applied = []
+
+    def spy(*args, **kwargs):
+        result = apply_dispatch_decision(*args, **kwargs)
+        applied.append((args[2], result))
+        return result
+
+    monkeypatch.setattr(dispatch, "apply_dispatch_decision", spy)
+    sim = make_sim(grids=(8, 7, 0))
+    for restaurant, household in ((7, 24), (13, 1), (19, 3), (8, 4)):
+        add_order(sim, restaurant, household, est=4.0, actual=5.0)
+    net = dispatch_qnet(3, rng=make_rng(42))
+    learner = stub_learner(0.5)
+    policy = ConvDdqnPolicy(net, learner=learner)
+    ranked = sim.pending_orders_ranked()
+    for i, oid in enumerate(ranked):
+        s, mask = encode_dispatch_state(sim, oid)
+        rng = copy.deepcopy(sim.rng_policy)
+        expect = select_action(net.forward(s), mask, 0.5, rng)
+        policy(sim, oid, ranked[i + 1 :])
+        assert len(learner.records) == len(applied) == i + 1
+        action, (raw, removed) = applied[-1]
+        t, recorded_raw = learner.records[-1]
+        assert action == expect == t.a
+        assert sim.rng_policy.bit_generator.state == rng.bit_generator.state
+        assert recorded_raw == raw
+        assert t.r == pytest.approx(raw * REWARD_SCALE)
+        np.testing.assert_array_equal(t.s, s)
+        s2, mask2, done = dispatch_next_state(sim, s, action, removed, ranked[i + 1 :])
+        np.testing.assert_array_equal(t.s2, s2)
+        np.testing.assert_array_equal(t.mask2, mask2)
+        assert t.done == done
+    assert {t.a for t, _ in learner.records} != {3}  # not every order was postponed
 
 
 def test_make_transition_scales_reward():

@@ -63,6 +63,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(region, {7: {19: -1.0}}, {7: {0: 1.0}})
     with pytest.raises(ConfigError):
+        ScenarioConfig(region, {7: {19: math.nan}}, {7: {0: 1.0}})
+    with pytest.raises(ConfigError):
+        ScenarioConfig(region, {}, {7: {0: 1.5, 1: -0.5}})  # sums to 1
+    with pytest.raises(ConfigError):
+        ScenarioConfig(region, {}, {7: {0: math.nan, 1: 1.0}})
+    with pytest.raises(ConfigError):
         ScenarioConfig(region, {99: {19: 1.0}}, {})
     with pytest.raises(ConfigError):
         ScenarioConfig(region, {}, {7: {0: 0.5, 1: 0.4}})  # sums to 0.9
@@ -240,14 +246,6 @@ def test_scenario_from_dict_rejects_bad_docs():
     del doc["fleet_size"]
     with pytest.raises(ConfigError):
         scenario_from_dict(doc)
-
-
-def test_with_seed_changes_only_seed():
-    config = default_scenario(seed=1)
-    other = config.with_seed(9)
-    assert other.seed == 9
-    assert other.hourly_rates == config.hourly_rates
-    assert other.region is config.region
 
 
 def test_make_rng_streams():

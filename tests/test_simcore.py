@@ -219,6 +219,10 @@ def test_reallocation_mechanics():
         sim.apply_reallocation(0, target)  # no longer idle
     with pytest.raises(ContractError):
         sim.apply_reallocation(1, 24)  # not adjacent to grid 0
+    assert None in sim.region.neighbor_ids(0)
+    with pytest.raises(ContractError):
+        sim.apply_reallocation(1, None)  # an out-of-region slot is no grid
+    assert sim.couriers[1].status == IDLE and not sim.couriers[1].queue
     tick(sim, 3)
     assert c.status == IDLE and c.grid == target
     assert c.distance == 1 and c.idle_since == 3.0

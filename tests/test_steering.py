@@ -5,12 +5,16 @@ supply to an adjacent grid lowers the origin-neighborhood balance scores by 3
 in total (7 grids lose the origin unit, 4 see the target unit arrive).
 """
 
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from mealtwin import steering
 from mealtwin.errors import ContractError
 from mealtwin.hexgrid import default_region
-from mealtwin.rlcore import steering_qnet
+from mealtwin.rlcore import select_action, steering_qnet
 from mealtwin.scenario import Order, ScenarioConfig, make_rng
 from mealtwin.simcore import MODE_MYOPIC, REALLOCATING, SimState
 from mealtwin.steering import (
@@ -22,8 +26,6 @@ from mealtwin.steering import (
     encode_from_field,
     encode_steer_state,
     grid_neighborhood,
-    is_eligible,
-    local_score,
     reward_reallocate,
     score_from_field,
     slot_target,
@@ -92,14 +94,15 @@ def test_scores_sum_the_field():
             field[n] for n in grid_neighborhood(region, g)
         )
     sim = make_idle_sim([12, 12, 13], minutes=0)
-    assert local_score(sim, 12) == 3.0  # all three couriers inside 12's patch
+    # All three couriers are inside 12's patch.
+    assert score_from_field(sim.region, sim.gap_field(), 12) == 3.0
 
 
 def test_eligibility_threshold_is_strict():
     sim = make_idle_sim([12, 13, 14], minutes=5)
-    assert not any(is_eligible(sim, c.id) for c in sim.couriers)
+    assert not any(sim.steering_eligible(c.id) for c in sim.couriers)
     sim.step(noop)
-    assert all(is_eligible(sim, c.id) for c in sim.couriers)
+    assert all(sim.steering_eligible(c.id) for c in sim.couriers)
     with pytest.raises(ContractError):
         encode_steer_state(make_idle_sim([12], minutes=0), 0)
 
@@ -239,3 +242,48 @@ def test_policy_greedy_and_trace():
     else:
         assert row["to"] == sim.region.neighbor_ids(12)[expect - 1]
         assert sim.couriers[0].status == REALLOCATING
+
+
+def stub_learner(epsilon: float) -> SimpleNamespace:
+    """A fixed exploration rate; keeps every recorded (transition, raw reward)."""
+    records = []
+    return SimpleNamespace(
+        epsilon=lambda: epsilon, record=lambda *args: records.append(args), records=records
+    )
+
+
+def test_policy_learner_records_each_decision(monkeypatch):
+    applied = []
+
+    def spy(sim, cid, action):
+        result = apply_steer_decision(sim, cid, action)
+        applied.append((action, result))
+        return result
+
+    monkeypatch.setattr(steering, "apply_steer_decision", spy)
+    net = steering_qnet(rng=make_rng(7))
+    learner = stub_learner(1.0)
+    policy = SteerDdqnPolicy(net, learner=learner)
+    sim = make_idle_sim([12, 13, 24, 0])
+    eligible = sim.eligible_steering_ids()
+    assert eligible == [0, 1, 2, 3]
+    for i, cid in enumerate(eligible):
+        s, mask = encode_steer_state(sim, cid)
+        rng = copy.deepcopy(sim.rng_policy)
+        expect = select_action(net.forward(s), mask, 1.0, rng)
+        policy(sim, cid)
+        assert len(learner.records) == len(applied) == i + 1
+        action, (raw, dest) = applied[-1]
+        t, recorded_raw = learner.records[-1]
+        assert action == expect == t.a
+        assert sim.rng_policy.bit_generator.state == rng.bit_generator.state
+        assert recorded_raw == raw and t.r == raw  # steering stores raw rewards
+        np.testing.assert_array_equal(t.s, s)
+        s2, mask2 = encode_from_field(sim, sim.gap_field(), dest)
+        np.testing.assert_array_equal(t.s2, s2)
+        np.testing.assert_array_equal(t.mask2, mask2)
+        assert t.done is False
+    last = make_idle_sim([12], minutes=sim.config.shift_minutes - 1)
+    SteerDdqnPolicy(net, learner=learner)(last, 0)
+    assert len(learner.records) == len(eligible) + 1
+    assert learner.records[-1][0].done is True
