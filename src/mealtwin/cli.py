@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .dispatch import REWARD_SCALE, ConvDdqnPolicy, DispatchRewardParams, NearestIdlePolicy
@@ -347,27 +350,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_task(payload: dict) -> Tuple[str, int, dict, List[float]]:
-    """Worker-pool body: one variant on one shift, rebuilt from paths."""
-    config = load_scenario(Path(payload["scenario"]))
-    nets = _load_variant_nets([payload["variant"]], payload["weights"], config)
-    mode, dispatch_policy, steer_policy = _policies_for(payload["variant"], nets)
-    predictor = None
-    if mode == MODE_STRATEGIC:
-        predictor = _build_predictor(
-            payload["forecaster"], config, payload.get("gbt_model"), payload.get("history")
-        )
+class _Study(NamedTuple):
+    """What every shift of an evaluation study shares."""
+
+    config: ScenarioConfig
+    nets: Dict[str, QNet]
+    predictor: object
+    eval_seed: int
+
+
+def _evaluate_shift(study: _Study, task: Tuple[str, int]) -> Tuple[RunMetrics, List[float]]:
+    """One variant on one shift of the study; module-level so a process pool
+    can run it."""
+    variant, shift = task
+    mode, dispatch_policy, steer_policy = _policies_for(variant, study.nets)
     result = run_shift(
-        config,
+        study.config,
         mode,
         dispatch_policy,
         steer_policy,
-        predictor,
-        seed_key=(payload["eval_seed"], payload["shift"]),
-        variant=payload["variant"],
-        run_id=payload["shift"],
+        study.predictor if mode == MODE_STRATEGIC else None,
+        seed_key=(study.eval_seed, shift),
+        variant=variant,
+        run_id=shift,
     )
-    return payload["variant"], payload["shift"], result.metrics.to_dict(), result.latencies
+    return result.metrics, result.latencies
 
 
 def _metrics_from_dict(doc: dict) -> RunMetrics:
@@ -414,46 +421,23 @@ def cmd_evaluate(args) -> int:
         _build_predictor(forecaster, config, gbt_model, history) if needs_predictor else None
     )
 
+    # Policies without a learner are stateless, so building them per task
+    # draws nothing: results are the same in any order and any process.
+    evaluate_shift = partial(_evaluate_shift, _Study(config, nets, predictor, eval_seed))
+    tasks = [(v, i) for v in variants for i in range(shifts)]
+    if workers > 1:
+        # One chunk per worker, so each worker unpickles the study once.
+        chunksize = max(1, math.ceil(len(tasks) / workers))
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            results = list(pool.map(evaluate_shift, tasks, chunksize=chunksize))
+    else:
+        results = map(evaluate_shift, tasks)
     runs: Dict[str, List[RunMetrics]] = {v: [] for v in variants}
     latencies: Dict[str, List[float]] = {v: [] for v in variants}
-    if workers > 1:
-        payloads = [
-            {
-                "scenario": scenario_path,
-                "variant": v,
-                "weights": weight_paths,
-                "forecaster": forecaster,
-                "gbt_model": gbt_model,
-                "history": history,
-                "eval_seed": eval_seed,
-                "shift": i,
-            }
-            for v in variants
-            for i in range(shifts)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for variant, shift, metrics_doc, lat in pool.map(_evaluate_task, payloads):
-                runs[variant].append(_metrics_from_dict(metrics_doc))
-                latencies[variant].extend(lat)
-        for v in variants:
-            runs[v].sort(key=lambda r: r.run_id)
-    else:
-        for v in variants:
-            mode, dispatch_policy, steer_policy = _policies_for(v, nets)
-            pred = predictor if mode == MODE_STRATEGIC else None
-            for i in range(shifts):
-                result = run_shift(
-                    config,
-                    mode,
-                    dispatch_policy,
-                    steer_policy,
-                    pred,
-                    seed_key=(eval_seed, i),
-                    variant=v,
-                    run_id=i,
-                )
-                runs[v].append(result.metrics)
-                latencies[v].extend(result.latencies)
+    for (v, _), (metrics, lat) in zip(tasks, results):
+        runs[v].append(metrics)
+        latencies[v].extend(lat)
     report = compare_frameworks(runs, variants=variants)
     save_comparison(outdir / "comparison.json", report)
     write_metrics_csv(outdir / "metrics.csv", report)

@@ -196,20 +196,23 @@ def run_shift(
 
 
 def exclude_outliers(runs: List[RunMetrics]) -> Tuple[List[RunMetrics], List[int]]:
-    """Drop runs whose mean time gap lies strictly above the nearest-rank
-    95th percentile of the set; below 20 runs nothing is excluded."""
-    if len(runs) < MIN_RUNS_FOR_EXCLUSION:
-        if runs:
+    """Drop runs without a delivery (NaN mean time gap), then runs whose mean
+    time gap lies strictly above the nearest-rank 95th percentile of the
+    remaining runs; below 20 remaining runs only the former are dropped."""
+    finite = [r for r in runs if not math.isnan(r.gap_mean)]
+    if len(finite) < MIN_RUNS_FOR_EXCLUSION:
+        if finite:
             logger.warning(
-                "only %d runs; outlier exclusion needs %d, keeping all",
-                len(runs),
+                "only %d runs with a delivery; outlier exclusion needs %d, keeping them all",
+                len(finite),
                 MIN_RUNS_FOR_EXCLUSION,
             )
-        return list(runs), []
-    means = sorted(r.gap_mean for r in runs)
-    cut = means[math.ceil(0.95 * len(means)) - 1]
-    kept = [r for r in runs if not r.gap_mean > cut]
-    excluded = [r.run_id for r in runs if r.gap_mean > cut]
+        cut = math.inf
+    else:
+        means = sorted(r.gap_mean for r in finite)
+        cut = means[math.ceil(0.95 * len(means)) - 1]
+    kept = [r for r in finite if r.gap_mean <= cut]
+    excluded = [r.run_id for r in runs if not r.gap_mean <= cut]  # NaN is never <= cut
     return kept, excluded
 
 
@@ -238,6 +241,8 @@ def mann_whitney_u(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float
     nx, ny = len(x), len(y)
     if nx < 2 or ny < 2:
         raise ContractError("both samples need at least two observations")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ContractError("Mann-Whitney U needs finite observations")
     pooled = np.concatenate([x, y])
     ranks, ties = _midranks(pooled)
     u1 = float(ranks[:nx].sum() - nx * (nx + 1) / 2.0)
@@ -293,7 +298,6 @@ class ComparisonReport:
 def compare_frameworks(
     runs_by_variant: Dict[str, List[RunMetrics]],
     variants: Sequence[str] = VARIANTS,
-    apply_exclusion: bool = True,
 ) -> ComparisonReport:
     """Aggregate per-variant metrics (after outlier exclusion) and test the
     pairwise metric differences for significance."""
@@ -305,10 +309,7 @@ def compare_frameworks(
             report.kept[v] = []
             report.excluded[v] = []
             continue
-        if apply_exclusion:
-            kept, excluded = exclude_outliers(runs)
-        else:
-            kept, excluded = list(runs), []
+        kept, excluded = exclude_outliers(runs)
         report.kept[v] = kept
         report.excluded[v] = excluded
         report.aggregates[v] = {}

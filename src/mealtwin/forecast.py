@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,46 +26,6 @@ WINDOW_MIN = 15
 # Feature vector layout.
 F_DOW, F_HOUR, F_LAG1 = 0, 1, 2
 NUM_FEATURES = 2 + NUM_LAGS
-
-
-@dataclass(frozen=True)
-class LagFeatures:
-    """Input features for one forecast: calendar position plus lagged counts."""
-
-    day_of_week: int  # 0=Monday .. 6=Sunday
-    hour_of_day: int
-    lags: Tuple[float, float, float, float]
-    truncated: bool = False  # true when the lag horizon predates the history
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.day_of_week, self.hour_of_day, *self.lags], dtype=np.float64
-        )
-
-
-def build_features(
-    history: Sequence[TransactionRecord], grid: int, t: datetime
-) -> LagFeatures:
-    """Lag features for a grid at wall-clock time t from transaction records."""
-    lags = [0.0] * NUM_LAGS
-    horizon = t - timedelta(minutes=NUM_LAGS * WINDOW_MIN)
-    covered = False
-    for rec in history:
-        if rec.restaurant != grid:
-            continue
-        if rec.when <= horizon:
-            covered = True
-            continue
-        if rec.when > t:
-            continue
-        back = (t - rec.when).total_seconds() / 60.0
-        lags[int(back // WINDOW_MIN)] += 1.0
-    return LagFeatures(
-        day_of_week=t.weekday(),
-        hour_of_day=t.hour,
-        lags=tuple(lags),
-        truncated=not covered,
-    )
 
 
 def lag_window_counts(counts: np.ndarray, minute: int) -> Tuple[float, ...]:
@@ -217,9 +176,9 @@ class GBTEnsemble:
             out += self.shrinkage * tree.predict_batch(X)
         return out
 
-    def predict(self, features: LagFeatures) -> float:
-        """Forecast order count for the next 15 minutes, clamped at zero."""
-        x = features.as_array()
+    def predict(self, x: np.ndarray) -> float:
+        """Forecast order count for the next 15 minutes from one float64
+        feature row, clamped at zero."""
         raw = self.base_score
         for tree in self.trees:
             raw += self.shrinkage * tree.predict(x)
@@ -333,13 +292,9 @@ class GbtDemand:
             return 0.0
         if counts is None:
             raise ConfigError("gbt demand prediction needs the current shift counts")
-        features = LagFeatures(
-            day_of_week=DEFAULT_SHIFT_WEEKDAY,
-            hour_of_day=self._config.hour_at(minute),
-            lags=lag_window_counts(counts[grid], minute),
-            truncated=minute < NUM_LAGS * WINDOW_MIN,
-        )
-        return model.predict(features)
+        hour = self._config.hour_at(minute)
+        lags = lag_window_counts(counts[grid], minute)
+        return model.predict(np.array([DEFAULT_SHIFT_WEEKDAY, hour, *lags], dtype=np.float64))
 
 
 def train_demand_models(

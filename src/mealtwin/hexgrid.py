@@ -1,19 +1,19 @@
 """Hexagonal lattice in axial coordinates and the bounded service region.
 
-Grids are hexagons addressed by axial (q, r).  Adjacency, distances and
-shortest paths are computed on the infinite lattice; the service region only
-restricts which grids exist as order origins/destinations, so travel between
-two region grids may legally cut across non-region hexes.
+Grids are hexagons addressed by axial (q, r).  Adjacency and distances are
+computed on the infinite lattice; the service region only restricts which
+grids exist as order origins/destinations, so travel between two region grids
+may legally cut across non-region hexes.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-# Canonical neighbor offsets, slot order 0..5.  All neighbor enumeration and
-# path tie-breaking must use this order.
+# Canonical neighbor offsets, slot order 0..5.  All neighbor enumeration must
+# use this order.
 AXIAL_DIRECTIONS: Tuple[Tuple[int, int], ...] = (
     (1, 0),
     (1, -1),
@@ -44,26 +44,6 @@ def hex_distance(a: HexCoord, b: HexCoord) -> int:
     dq = a.q - b.q
     dr = a.r - b.r
     return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
-
-
-def shortest_path(a: HexCoord, b: HexCoord) -> List[HexCoord]:
-    """Deterministic shortest lattice path from a to b, inclusive of both ends.
-
-    At every step the lowest canonical slot index that strictly reduces the
-    remaining distance is taken, so equal-length paths always resolve the same
-    way.  Length of the returned list is hex_distance(a, b) + 1.
-    """
-    path = [a]
-    cur = a
-    while cur != b:
-        remaining = hex_distance(cur, b)
-        for slot in range(6):
-            nxt = cur.neighbor(slot)
-            if hex_distance(nxt, b) == remaining - 1:
-                cur = nxt
-                break
-        path.append(cur)
-    return path
 
 
 @dataclass(frozen=True)
@@ -120,11 +100,6 @@ class ServiceRegion:
         self._check(a)
         self._check(b)
         return hex_distance(self.grids[a], self.grids[b])
-
-    def path(self, a: int, b: int) -> List[HexCoord]:
-        self._check(a)
-        self._check(b)
-        return shortest_path(self.grids[a], self.grids[b])
 
     def _check(self, gid: int) -> None:
         if not 0 <= gid < len(self.grids):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -22,8 +21,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .hexgrid import DEFAULT_RESTAURANT_IDS, HexCoord, ServiceRegion, default_region
-
-logger = logging.getLogger(__name__)
 
 SCENARIO_SCHEMA = "mealtwin-scenario/1"
 TRANSACTIONS_HEADER = ("timestamp", "restaurant_grid", "household_grid")
@@ -118,8 +115,19 @@ class ScenarioConfig:
                 )
             # Pre-split into aligned destination/probability arrays for sampling.
             dests = np.array(sorted(row), dtype=np.int64)
+            if len(dests) and (dests[0] < 0 or dests[-1] >= len(self.region)):
+                raise ConfigError(f"od row of grid {origin} references a grid outside the region")
             probs = np.array([row[d] for d in sorted(row)], dtype=np.float64)
             self._od_cache[origin] = (dests, probs)
+        # Every restaurant grid must be able to sample each minute of the shift.
+        hours = range(self.shift_start_hour, self.hour_at(self.shift_minutes - 1) + 1)
+        for gid in self.region.restaurant_ids:
+            by_hour = self.hourly_rates.get(gid, {})
+            missing = [h for h in hours if h not in by_hour]
+            if missing:
+                raise ConfigError(f"restaurant grid {gid} has no arrival rate for hours {missing}")
+            if not self.od_probs.get(gid) and any(by_hour[h] > 0 for h in hours):
+                raise ConfigError(f"restaurant grid {gid} has orders but no od probabilities")
 
     def hour_at(self, minute: int) -> int:
         return self.shift_start_hour + minute // 60
@@ -184,49 +192,6 @@ def sample_orders(
             )
         )
     return orders
-
-
-def estimate_rates(
-    history: Sequence[TransactionRecord], region: ServiceRegion
-) -> Tuple[Dict[int, Dict[int, float]], Dict[int, Dict[int, float]]]:
-    """Empirical hourly rates and OD probabilities from transaction history.
-
-    lambda_g(h) is the mean order count in hour h per shift-day observed; the
-    OD row of a grid with zero recorded orders falls back to uniform over all
-    region grids (flagged with a warning).
-    """
-    if not history:
-        raise ConfigError("cannot estimate rates from an empty history")
-    n = len(region)
-    for rec in history:
-        if rec.restaurant not in range(n) or rec.household not in range(n):
-            raise ConfigError(f"history references grids outside the region: {rec}")
-    days = {rec.when.date() for rec in history}
-    hours = sorted({rec.when.hour for rec in history})
-    counts: Dict[Tuple[int, int], int] = {}
-    od_counts: Dict[int, Dict[int, int]] = {}
-    for rec in history:
-        key = (rec.restaurant, rec.when.hour)
-        counts[key] = counts.get(key, 0) + 1
-        od_counts.setdefault(rec.restaurant, {})
-        od_counts[rec.restaurant][rec.household] = (
-            od_counts[rec.restaurant].get(rec.household, 0) + 1
-        )
-    num_days = len(days)
-    rates = {
-        gid: {h: counts.get((gid, h), 0) / num_days for h in hours}
-        for gid in region.restaurant_ids
-    }
-    od: Dict[int, Dict[int, float]] = {}
-    for gid in region.restaurant_ids:
-        row = od_counts.get(gid)
-        if not row:
-            logger.warning("grid %d has no recorded orders; using uniform od row", gid)
-            od[gid] = {dest: 1.0 / n for dest in range(n)}
-            continue
-        total = sum(row.values())
-        od[gid] = {dest: cnt / total for dest, cnt in sorted(row.items())}
-    return rates, od
 
 
 def synth_history(

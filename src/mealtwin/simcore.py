@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .hexgrid import MINUTES_PER_UNIT, HexCoord
+from .hexgrid import MINUTES_PER_UNIT
 from .scenario import Order, ScenarioConfig, make_rng, sample_orders
 
 EVENTS_HEADER = ("minute", "entity", "event", "detail")
@@ -47,8 +47,6 @@ LEGAL_TRANSITIONS = {
 MODE_STRATEGIC = "strategic"
 MODE_MYOPIC = "myopic"
 
-HORIZON_CURRENT = "current"
-HORIZON_ANTICIPATED = "anticipated"
 ANTICIPATION_MIN = 15  # couriers becoming idle within this window count as supply
 
 DELIVERY = "delivery"
@@ -70,7 +68,6 @@ class Courier:
     queue: List[Task] = field(default_factory=list)
     idle_since: Optional[float] = 0.0
     active_from: Optional[int] = None
-    active_started: Optional[float] = None
     arrive_time: Optional[float] = None
     pickup_time: Optional[float] = None
     done_time: Optional[float] = None
@@ -221,20 +218,18 @@ class SimState:
             for gid in self.region.restaurant_ids
         }
 
-    def supply_demand_gap(self, gid: int, horizon: Optional[str] = None) -> int:
+    def supply_demand_gap(self, gid: int) -> int:
         """Courier supply minus order demand at one grid.
 
-        current: idle couriers now on the grid minus pending unassigned orders
-        from it.  anticipated: couriers turning idle there within 15 minutes
-        minus the predicted 15-minute order count (rounded half-up).
+        Myopic mode looks at the current minute: idle couriers now on the grid
+        minus pending unassigned orders from it.  Strategic mode anticipates:
+        couriers turning idle there within 15 minutes minus the predicted
+        15-minute order count (rounded half-up).
         """
-        horizon = horizon or self.default_horizon()
-        if horizon == HORIZON_CURRENT:
+        if self.mode == MODE_MYOPIC:
             supply = sum(1 for c in self.couriers if c.status == IDLE and c.grid == gid)
             demand = int(sum(1 for oid in self.pending if self.orders[oid].restaurant == gid))
             return supply - demand
-        if horizon != HORIZON_ANTICIPATED:
-            raise ContractError(f"unknown horizon {horizon!r}")
         supply = 0
         for c in self.couriers:
             g, dt = self.courier_eta_idle(c.id)
@@ -242,13 +237,11 @@ class SimState:
                 supply += 1
         return supply - _round_half_up(self.predicted.get(gid, 0.0))
 
-    def gap_field(self, horizon: Optional[str] = None) -> np.ndarray:
-        horizon = horizon or self.default_horizon()
+    def gap_field(self) -> np.ndarray:
+        """supply_demand_gap of every grid, indexed by grid id."""
         n = len(self.region)
-        if horizon == HORIZON_CURRENT:
+        if self.mode == MODE_MYOPIC:
             return (self.idle_counts() - self.pending_counts()).astype(np.int64)
-        if horizon != HORIZON_ANTICIPATED:
-            raise ContractError(f"unknown horizon {horizon!r}")
         supply = np.zeros(n, dtype=np.int64)
         for c in self.couriers:
             g, dt = self.courier_eta_idle(c.id)
@@ -259,9 +252,6 @@ class SimState:
             dtype=np.int64,
         )
         return supply - demand
-
-    def default_horizon(self) -> str:
-        return HORIZON_ANTICIPATED if self.mode == MODE_STRATEGIC else HORIZON_CURRENT
 
     # ------------------------------------------------------------ environment ops
 
@@ -435,7 +425,6 @@ class SimState:
 
     def _start_task(self, c: Courier, at: float) -> None:
         task = c.queue[0]
-        c.active_started = at
         c.active_from = c.grid
         if task.kind == REALLOCATE:
             c.arrive_time = c.pickup_time = None
@@ -454,7 +443,7 @@ class SimState:
 
     def _settle(self, c: Courier, at: float) -> None:
         c.arrive_time = c.pickup_time = c.done_time = None
-        c.active_started = c.active_from = None
+        c.active_from = None
         if c.queue:
             self._start_task(c, at)
         else:
@@ -528,32 +517,6 @@ class SimState:
         for c in self.couriers:
             self._advance_courier(c, until)
         self.clock += 1
-
-    # --------------------------------------------------------------- positions
-
-    def courier_position(self, cid: int) -> HexCoord:
-        """Grid the courier currently occupies; travel progress snaps to the
-        path grid indexed by floor(elapsed / minutes-per-unit)."""
-        c = self.couriers[cid]
-        now = float(self.clock)
-        if c.status == IDLE:
-            return self.region.grids[c.grid]
-        task = c.queue[0]
-        if c.status == WAITING:
-            return self.region.grids[self.orders[task.order_id].restaurant]
-        if c.status == REALLOCATING:
-            path = self.region.path(c.active_from, task.target)
-            start = c.active_started
-        elif c.status == TO_PICKUP:
-            o = self.orders[task.order_id]
-            path = self.region.path(c.active_from, o.restaurant)
-            start = c.active_started
-        else:  # TO_DELIVERY
-            o = self.orders[task.order_id]
-            path = self.region.path(o.restaurant, o.household)
-            start = c.pickup_time
-        idx = int((now - start) // MINUTES_PER_UNIT)
-        return path[max(0, min(idx, len(path) - 1))]
 
 
 def _round_half_up(x: float) -> int:

@@ -68,16 +68,14 @@ def slot_target(sim: SimState, gid: int, action: int) -> Optional[int]:
     return target
 
 
-def reward_reallocate(
-    sim: SimState, origin: int, target: Optional[int], horizon: Optional[str] = None
-) -> float:
+def reward_reallocate(sim: SimState, origin: int, target: Optional[int]) -> float:
     """Zero for staying.  For a move: gap(origin) - gap(target) plus the mean
     change, over the origin's neighborhood, of each grid's balance score when
     one unit of supply shifts from origin to target."""
     if target is None or target == origin:
         return 0.0
     region = sim.region
-    field = sim.gap_field(horizon).astype(np.float64)
+    field = sim.gap_field().astype(np.float64)
     shifted = field.copy()
     shifted[origin] -= 1.0
     shifted[target] += 1.0

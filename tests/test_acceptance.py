@@ -34,15 +34,7 @@ from mealtwin.forecast import (
     train_demand_models,
 )
 from mealtwin.hexgrid import AXIAL_DIRECTIONS, HexCoord, default_region, hex_distance
-from mealtwin.rlcore import (
-    bandit_mdp,
-    ddqn_toy_train,
-    dispatch_qnet,
-    finite_difference_grad,
-    loss_and_grad,
-    steering_qnet,
-    tabular_q_learning,
-)
+from mealtwin.rlcore import dispatch_qnet, loss_and_grad, steering_qnet
 from mealtwin.scenario import (
     _sample_arrivals,
     default_scenario,
@@ -59,6 +51,8 @@ from mealtwin.steering import (
     slot_target,
 )
 from mealtwin.trainer import TrainingPlan, sandwich_train
+
+from oracles import bandit_mdp, ddqn_toy_train, finite_difference_grad, tabular_q_learning
 
 RELEASE_PLAN = (200, 150, 100)
 CI_PLAN = (50, 30, 20)
@@ -451,7 +445,7 @@ def study():
         return runs, latencies
 
     def aggregates(runs):
-        report = compare_frameworks({"v": runs}, variants=("v",), apply_exclusion=True)
+        report = compare_frameworks({"v": runs}, variants=("v",))
         return {name: cell["avg"] for name, cell in report.aggregates["v"].items()}
 
     ni_started = time.perf_counter()

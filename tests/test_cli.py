@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from mealtwin import cli
 from mealtwin.cli import EXPERIMENT_SCHEMA, main
 from mealtwin.errors import NumericalError
 from mealtwin.rlcore import load_qnet
@@ -310,6 +311,51 @@ def test_evaluate_worker_pool_matches_serial(workspace, evaluated, tmp_path):
     assert (outdir / "comparison.json").read_bytes() == (
         evaluated / "comparison.json"
     ).read_bytes()
+
+
+def test_evaluate_workers_share_one_forecaster_fit(workspace, tmp_path, monkeypatch):
+    """A pool gives the serial bytes for a strategic variant with a GBT
+    forecaster, and the study fits that forecaster once, not once per task."""
+    scenario = str(workspace / "scenario.json")
+    history = tmp_path / "history.csv"
+    assert main(["synth-history", "--scenario", scenario, "--weeks", "1", "--out", str(history)]) == 0
+    fits = tmp_path / "fits.log"
+    fit = cli.train_demand_models
+
+    def counted_fit(*args, **kwargs):
+        with open(fits, "a") as fh:  # a file, so that forked workers count too
+            fh.write("fit\n")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_demand_models", counted_fit)
+    comparisons = []
+    for workers in ("1", "2"):
+        fits.write_text("")
+        outdir = tmp_path / f"workers{workers}"
+        code = main(
+            [
+                "evaluate",
+                "--scenario",
+                scenario,
+                "--shifts",
+                "2",
+                "--variants",
+                "strategic+steer,myopic",
+                "--forecaster",
+                "gbt",
+                "--history",
+                str(history),
+                "--workers",
+                workers,
+                "--outdir",
+                str(outdir),
+                *weight_flags(workspace),
+            ]
+        )
+        assert code == 0
+        assert fits.read_text().splitlines() == ["fit"]
+        comparisons.append((outdir / "comparison.json").read_bytes())
+    assert comparisons[0] == comparisons[1]
 
 
 def test_evaluate_validation(workspace, capsys):

@@ -172,6 +172,39 @@ def test_exclusion_cuts_strictly_above_percentile():
     assert excluded == [24]
 
 
+def no_delivery_run(variant="a", run_id=0):
+    nan = float("nan")
+    return make_run(variant, run_id, gap_mean=nan, gap_std=nan, delivered=0, pickup_mean=nan)
+
+
+def test_exclusion_drops_runs_without_delivery():
+    # 19 real runs and one without a delivery: the NaN run is excluded, and
+    # the 19 finite runs are below the exclusion minimum, so all of them stay.
+    runs = [make_run(run_id=i, gap_mean=float(i)) for i in range(19)]
+    runs.insert(7, no_delivery_run(run_id=99))
+    kept, excluded = exclude_outliers(runs)
+    assert excluded == [99]
+    assert [r.run_id for r in kept] == list(range(19))
+    # With 20 finite runs the cut is taken over them alone: the nearest-rank
+    # 95th of 0..19 is 18, so 19 lies above it.
+    runs.append(make_run(run_id=19, gap_mean=19.0))
+    kept, excluded = exclude_outliers(runs)
+    assert excluded == [99, 19]
+    assert [r.run_id for r in kept] == list(range(19))
+
+
+def test_compare_frameworks_excludes_runs_without_delivery():
+    runs = {
+        "a": [no_delivery_run("a", i) for i in range(10)],
+        "b": [make_run("b", i, gap_mean=float(i)) for i in range(10)],
+    }
+    report = compare_frameworks(runs, variants=("a", "b"))
+    assert report.excluded == {"a": list(range(10)), "b": []}
+    assert report.kept["a"] == []
+    for metric in PAIRWISE_METRICS:
+        assert report.pairwise_p[metric] == {}  # no confident p-value from NaN runs
+
+
 def test_mann_whitney_frozen_small_case():
     u1, p = mann_whitney_u([1.0, 2.0], [3.0, 4.0])
     assert u1 == 0.0
@@ -205,6 +238,11 @@ def test_mann_whitney_degenerate_and_contract():
     assert p == 1.0  # tie correction zeroes the variance
     with pytest.raises(ContractError):
         mann_whitney_u([1.0], [2.0, 3.0])
+    real = [float(i) for i in range(10)]
+    with pytest.raises(ContractError, match="finite"):
+        mann_whitney_u([math.nan] * 10, real)
+    with pytest.raises(ContractError, match="finite"):
+        mann_whitney_u(real, real[:-1] + [math.inf])
 
 
 def test_compare_frameworks_small():

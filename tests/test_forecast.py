@@ -13,9 +13,7 @@ from mealtwin.forecast import (
     F_LAG1,
     GBTParams,
     GbtDemand,
-    LagFeatures,
     OracleDemand,
-    build_features,
     build_training_sets,
     evaluate,
     lag_window_counts,
@@ -27,6 +25,8 @@ from mealtwin.forecast import (
     train_gbt,
 )
 from mealtwin.scenario import TransactionRecord, default_scenario, make_rng, synth_history
+
+from oracles import build_features
 
 T0 = datetime(2024, 1, 6, 20, 0)
 
@@ -112,7 +112,7 @@ def test_gbt_fits_constant():
     y = np.full(40, 3.5)
     model = train_gbt(X, y, GBTParams(rounds=5))
     assert model.base_score == 3.5
-    pred = model.predict(LagFeatures(0, 0, (0, 0, 0, 0)))
+    pred = model.predict(np.zeros(2))
     assert abs(pred - 3.5) < 1e-9
 
 
@@ -133,7 +133,7 @@ def test_gbt_prediction_clamped_at_zero():
     X = np.zeros((30, 2))
     y = np.full(30, -2.0)
     model = train_gbt(X, y, GBTParams(rounds=3))
-    assert model.predict(LagFeatures(0, 0, (0, 0, 0, 0))) == 0.0
+    assert model.predict(np.zeros(2)) == 0.0
     # The unclamped raw prediction stays negative.
     assert model.raw_predict_batch(np.zeros((1, 2)))[0] < 0
 

@@ -14,7 +14,6 @@ from mealtwin.hexgrid import (
     default_region,
     hex_distance,
     offset_rect_region,
-    shortest_path,
 )
 
 coords = st.builds(
@@ -81,23 +80,6 @@ def test_distance_matches_bfs_small_ball():
             assert hex_distance(origin, target) == bfs_distance(origin, target)
 
 
-def test_path_endpoints_length_and_steps():
-    a, b = HexCoord(-2, 1), HexCoord(3, -2)
-    path = shortest_path(a, b)
-    assert path[0] == a and path[-1] == b
-    assert len(path) == hex_distance(a, b) + 1
-    for u, v in zip(path, path[1:]):
-        assert hex_distance(u, v) == 1
-
-
-def test_path_deterministic_tie_break():
-    # From the origin to (1, 1) both slot 0 then 5 and slot 5 then 0 are
-    # shortest; the lowest slot that reduces distance must win at each step.
-    path = shortest_path(HexCoord(0, 0), HexCoord(1, 1))
-    assert path == [HexCoord(0, 0), HexCoord(1, 0), HexCoord(1, 1)]
-    assert shortest_path(HexCoord(0, 0), HexCoord(0, 0)) == [HexCoord(0, 0)]
-
-
 def test_offset_rect_ids_row_major():
     region = offset_rect_region(5, 5, DEFAULT_RESTAURANT_IDS)
     assert len(region) == 25
@@ -131,8 +113,6 @@ def test_region_distance_and_path():
     region = default_region()
     assert region.distance(7, 7) == 0
     assert region.distance(0, 4) == 4
-    path = region.path(0, 24)
-    assert path[0] == region.grids[0] and path[-1] == region.grids[24]
 
 
 def test_region_rejects_bad_ids():

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from mealtwin import rlcore
 from mealtwin.errors import ConfigError, ContractError, NumericalError
 from mealtwin.rlcore import (
     ACT_LINEAR,
@@ -17,13 +16,8 @@ from mealtwin.rlcore import (
     QNet,
     ReplayBuffer,
     Transition,
-    bandit_mdp,
-    batch_loss,
-    chain_mdp,
-    ddqn_toy_train,
     dispatch_qnet,
     epsilon_schedule,
-    finite_difference_grad,
     learn,
     load_qnet,
     loss_and_grad,
@@ -32,10 +26,20 @@ from mealtwin.rlcore import (
     select_action,
     steering_qnet,
     sync_target,
-    tabular_q_learning,
     td_targets,
 )
 from mealtwin.scenario import make_rng
+
+import oracles
+from oracles import (
+    bandit_mdp,
+    batch_loss,
+    chain_mdp,
+    ddqn_toy_train,
+    finite_difference_grad,
+    preactivation_margin,
+    tabular_q_learning,
+)
 
 
 def tiny_net() -> QNet:
@@ -117,7 +121,7 @@ def test_gradient_matches_finite_differences_quick():
     rng = make_rng(13)
     for net in (dispatch_qnet(3, hidden=5, rng=rng), steering_qnet(rng=rng)):
         X = rng.normal(size=(4, net.spec.input_dim))
-        if net.preactivation_margin(X) < 1e-3:
+        if preactivation_margin(net, X) < 1e-3:
             X = X + 0.05
         actions = rng.integers(net.num_actions, size=4)
         targets = rng.normal(size=4)
@@ -146,7 +150,7 @@ def per_parameter_finite_differences(net, X, actions, targets, h=1e-5):
 @pytest.mark.parametrize("kind", ["dispatch", "steering"])
 def test_batched_finite_differences_match_per_parameter_loop(kind, batch, block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(rlcore, "_FD_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(oracles, "_FD_BLOCK_ELEMENTS", block)
     rng = make_rng(29)
     net = dispatch_qnet(25, rng=rng) if kind == "dispatch" else steering_qnet(rng=rng)
     X = rng.normal(size=(batch, net.spec.input_dim))
@@ -163,9 +167,9 @@ def test_batched_finite_differences_match_per_parameter_loop(kind, batch, block,
 def test_preactivation_margin():
     net = tiny_net()
     # x = (1, 1) gives pre-activations (1.5, 0.5) at the relu layer.
-    assert net.preactivation_margin(np.array([[1.0, 1.0]])) == pytest.approx(0.5)
+    assert preactivation_margin(net, np.array([[1.0, 1.0]])) == pytest.approx(0.5)
     linear = QNet(NetSpec(input_dim=2, layer_dims=(2,), activations=(ACT_LINEAR,)))
-    assert linear.preactivation_margin(np.zeros((1, 2))) == np.inf
+    assert preactivation_margin(linear, np.zeros((1, 2))) == np.inf
 
 
 def test_adam_reference_steps():

@@ -13,7 +13,6 @@ from mealtwin.scenario import (
     ScenarioConfig,
     TransactionRecord,
     default_scenario,
-    estimate_rates,
     load_scenario,
     make_rng,
     read_transactions,
@@ -58,22 +57,35 @@ def test_hour_at_and_rate_for():
 
 def test_config_validation():
     region = default_region()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="fleet_size"):
         default_scenario(fleet_size=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="is not >= 0"):
         ScenarioConfig(region, {7: {19: -1.0}}, {7: {0: 1.0}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="is not >= 0"):
         ScenarioConfig(region, {7: {19: math.nan}}, {7: {0: 1.0}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="must be >= 0"):
         ScenarioConfig(region, {}, {7: {0: 1.5, 1: -0.5}})  # sums to 1
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="must be >= 0"):
         ScenarioConfig(region, {}, {7: {0: math.nan, 1: 1.0}})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="rate table references unknown grid 99"):
         ScenarioConfig(region, {99: {19: 1.0}}, {})
-    with pytest.raises(ConfigError):
-        ScenarioConfig(region, {}, {7: {0: 0.5, 1: 0.4}})  # sums to 0.9
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="sum to 0.9"):
+        ScenarioConfig(region, {}, {7: {0: 0.5, 1: 0.4}})
+    with pytest.raises(ConfigError, match="shift_minutes"):
         ScenarioConfig(region, {}, {}, shift_minutes=0)
+    # Inputs that used to pass here and fail partway through a shift.
+    config = default_scenario()
+    rates = dict(config.hourly_rates)
+    od = dict(config.od_probs)
+    with pytest.raises(ConfigError, match="od row of grid 7 references a grid outside"):
+        ScenarioConfig(region, rates, {**od, 7: {99: 1.0}})
+    with pytest.raises(ConfigError, match=r"grid 8 has no arrival rate for hours \[20\]"):
+        ScenarioConfig(region, {**rates, 8: {19: 4.2}}, od)
+    with pytest.raises(ConfigError, match="grid 9 has orders but no od probabilities"):
+        ScenarioConfig(region, rates, {g: row for g, row in od.items() if g != 9})
+    # A one-hour shift needs only its own hour; a grid without orders needs no od row.
+    without_8 = {g: row for g, row in od.items() if g != 8}
+    ScenarioConfig(region, {**rates, 8: {19: 0.0}}, without_8, shift_minutes=60)
 
 
 def test_sample_prep_moments():
@@ -189,41 +201,6 @@ def test_read_transactions_rejects_garbage(tmp_path):
     path.write_text("timestamp,restaurant,household\n2024-01-06T19:05,seven,3\n")
     with pytest.raises(ConfigError):
         read_transactions(path)
-
-
-def test_estimate_rates_exact_counts():
-    region = default_region()
-    history = [
-        # Two days; grid 7 gets 3 orders at hour 19 on day one, 1 on day two.
-        TransactionRecord(datetime(2024, 1, 6, 19, 0), 7, 0),
-        TransactionRecord(datetime(2024, 1, 6, 19, 30), 7, 1),
-        TransactionRecord(datetime(2024, 1, 6, 19, 59), 7, 0),
-        TransactionRecord(datetime(2024, 1, 13, 19, 10), 7, 2),
-        TransactionRecord(datetime(2024, 1, 13, 20, 10), 8, 5),
-    ]
-    rates, od = estimate_rates(history, region)
-    assert rates[7][19] == 2.0  # (3 + 1) / 2 days
-    assert rates[7][20] == 0.0
-    assert rates[8][20] == 0.5
-    assert od[7] == {0: 0.5, 1: 0.25, 2: 0.25}
-    assert od[8] == {5: 1.0}
-    # Restaurant grids with no history fall back to a uniform od row.
-    assert od[9] == {dest: 1.0 / 25 for dest in range(25)}
-    with pytest.raises(ConfigError):
-        estimate_rates([], region)
-    with pytest.raises(ConfigError):
-        estimate_rates([TransactionRecord(datetime(2024, 1, 6, 19, 0), 99, 0)], region)
-
-
-def test_estimate_rates_inverts_synth_history():
-    config = default_scenario()
-    records = synth_history(config, 40, make_rng(21))
-    rates, _ = estimate_rates(records, config.region)
-    for gid in config.region.restaurant_ids:
-        for hour in (19, 20):
-            lam = config.hourly_rates[gid][hour]
-            se = math.sqrt(lam / 40)
-            assert abs(rates[gid][hour] - lam) < 4 * se
 
 
 def test_scenario_round_trip(tmp_path):

@@ -13,8 +13,6 @@ from mealtwin.errors import ConfigError, ContractError
 from mealtwin.hexgrid import default_region
 from mealtwin.scenario import Order, ScenarioConfig, default_scenario
 from mealtwin.simcore import (
-    HORIZON_ANTICIPATED,
-    HORIZON_CURRENT,
     IDLE,
     LEGAL_TRANSITIONS,
     MODE_MYOPIC,
@@ -163,7 +161,7 @@ def test_task_chaining_and_cap():
         sim.apply_dispatch(third.id, 0)
     # First delivery lands at 9.0; the second leg starts exactly then.
     tick(sim, 10)
-    assert c.status == TO_PICKUP and c.active_started == 9.0
+    assert c.status == TO_PICKUP and c.arrive_time == 9.0 + 3 * sim.region.distance(24, 7)
     assert c.active_from == 24
     # 24 -> 7 takes 9 minutes, then 7 -> 0 another 9.
     assert c.arrive_time == 18.0 and c.done_time == 27.0
@@ -242,7 +240,7 @@ def test_dispatch_queued_behind_reallocation():
     assert o.courier_arrival == 3.0 + 3 * sim.region.distance(target, 7)
     tick(sim, 4)
     assert c.status == TO_PICKUP and c.active_from == target
-    assert c.active_started == 3.0
+    assert c.arrive_time == 3.0 + 3 * sim.region.distance(target, 7)
 
 
 def test_postpone_and_overdue_mechanics():
@@ -275,15 +273,13 @@ def test_current_gap_field():
     sim = make_sim(fleet=3, grids=(7, 7, 8))
     add_order(sim, restaurant=7, household=0, est=5.0, actual=5.0)
     add_order(sim, restaurant=14, household=0, est=5.0, actual=5.0)
-    field = sim.gap_field(HORIZON_CURRENT)
+    field = sim.gap_field()  # myopic: idle now minus pending now
     assert field[7] == 1  # two idle minus one pending
     assert field[8] == 1
     assert field[14] == -1
     assert field.sum() == 3 - 2
-    assert sim.supply_demand_gap(7, HORIZON_CURRENT) == 1
-    assert sim.supply_demand_gap(14, HORIZON_CURRENT) == -1
-    with pytest.raises(ContractError):
-        sim.supply_demand_gap(0, "hourly")
+    assert sim.supply_demand_gap(7) == 1
+    assert sim.supply_demand_gap(14) == -1
 
 
 class StubPredictor:
@@ -303,15 +299,14 @@ def test_anticipated_gap_field():
     sim.apply_dispatch(far.id, 0)  # idle at 20 at minute 16, outside window
     sim.apply_dispatch(near.id, 1)  # idle at 13 at minute 7, inside window
     sim.refresh_predictions()
-    field = sim.gap_field(HORIZON_ANTICIPATED)
+    field = sim.gap_field()  # strategic: anticipated over 15 minutes
     assert field[0] == 1  # the only courier idle right now
     assert field[13] == 1  # eta 7 <= 15 counts as anticipated supply
     assert field[20] == 0  # eta 16 > 15 does not
     assert field[7] == -2  # round-half-up(1.6) demand, no supply
     assert field[8] == -1  # 0.5 rounds up
     assert field[14] == 0  # 0.49 rounds down
-    assert sim.supply_demand_gap(7) == -2  # strategic default horizon
-    assert sim.default_horizon() == HORIZON_ANTICIPATED
+    assert sim.supply_demand_gap(7) == -2
 
 
 def test_round_half_up():
@@ -320,26 +315,6 @@ def test_round_half_up():
     assert _round_half_up(2.5) == 3
     assert _round_half_up(-0.5) == 0
     assert _round_half_up(-0.51) == -1
-
-
-def test_position_interpolation():
-    sim = make_sim(grids=(0, 0, 0))
-    o = add_order(sim, restaurant=7, household=24, est=30.0, actual=30.0)
-    sim.apply_dispatch(o.id, 0)
-    path = sim.region.path(0, 7)
-    tick(sim, 1)
-    assert sim.courier_position(0) == path[0]  # 1 minute in, first hex
-    tick(sim, 2)
-    assert sim.courier_position(0) == path[1]  # minute 3: one unit covered
-    tick(sim, 6)
-    assert sim.courier_position(0) == path[3]  # arrived, waiting on the meal
-    assert sim.couriers[0].status == WAITING
-    assert sim.courier_position(0) == sim.region.grids[7]
-    tick(sim, 25)
-    delivery_path = sim.region.path(7, 24)
-    # Picked up at 30.0; at minute 34 one unit of the delivery leg is done.
-    assert sim.couriers[0].status == TO_DELIVERY
-    assert sim.courier_position(0) == delivery_path[1]
 
 
 def test_snapshot_and_summary_accounting():
