@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -426,6 +424,10 @@ def cmd_evaluate(args) -> int:
     evaluate_shift = partial(_evaluate_shift, _Study(config, nets, predictor, eval_seed))
     tasks = [(v, i) for v in variants for i in range(shifts)]
     if workers > 1:
+        # Imported here: serial runs, the common case, never pay for the pool.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # One chunk per worker, so each worker unpickles the study once.
         chunksize = max(1, math.ceil(len(tasks) / workers))
         spawn = multiprocessing.get_context("spawn")

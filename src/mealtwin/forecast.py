@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,20 +29,21 @@ F_DOW, F_HOUR, F_LAG1 = 0, 1, 2
 NUM_FEATURES = 2 + NUM_LAGS
 
 
-def lag_window_counts(counts: np.ndarray, minute: int) -> Tuple[float, ...]:
-    """Lagged window sums from a per-minute count vector of the current shift.
+def lag_window_counts(counts: np.ndarray, minute: int) -> np.ndarray:
+    """Lagged window sums over the last axis of per-minute counts of the
+    current shift, shape counts.shape[:-1] + (NUM_LAGS,).
 
     Window k (k=1..4) covers shift minutes (minute-15k, minute-15(k-1)];
-    minutes before the start of the vector contribute zero.
+    minutes before the start of the shift contribute zero.  Counts are whole
+    numbers, so every slice sum is exact.
     """
-    lags = []
+    lags = np.zeros(counts.shape[:-1] + (NUM_LAGS,), dtype=np.float64)
     for k in range(1, NUM_LAGS + 1):
-        lo = minute - WINDOW_MIN * k  # exclusive
-        hi = minute - WINDOW_MIN * (k - 1)  # inclusive
-        lo_idx = max(lo + 1, 0)
-        hi_idx = min(hi, len(counts) - 1)
-        lags.append(float(counts[lo_idx : hi_idx + 1].sum()) if hi_idx >= lo_idx else 0.0)
-    return tuple(lags)
+        lo_idx = max(minute - WINDOW_MIN * k + 1, 0)
+        hi_idx = min(minute - WINDOW_MIN * (k - 1), counts.shape[-1] - 1)
+        if hi_idx >= lo_idx:
+            lags[..., k - 1] = counts[..., lo_idx : hi_idx + 1].sum(axis=-1)
+    return lags
 
 
 @dataclass(frozen=True)
@@ -70,30 +72,6 @@ class RegressionTree:
         self.right.append(-1)
         self.value.append(0.0)
         return len(self.feature) - 1
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        feature = np.array(self.feature, dtype=np.int64)
-        threshold = np.array(self.threshold, dtype=np.float64)
-        left = np.array(self.left, dtype=np.int64)
-        right = np.array(self.right, dtype=np.int64)
-        value = np.array(self.value, dtype=np.float64)
-        idx = np.zeros(len(X), dtype=np.int64)
-        active = feature[idx] >= 0
-        while active.any():
-            nodes = idx[active]
-            go_left = X[active, feature[nodes]] <= threshold[nodes]
-            idx[active] = np.where(go_left, left[nodes], right[nodes])
-            active = feature[idx] >= 0
-        return value[idx]
-
-    def predict(self, x: np.ndarray) -> float:
-        node = 0
-        while self.feature[node] >= 0:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return self.value[node]
 
 
 def _best_split(
@@ -143,20 +121,28 @@ def _grow(
     tree: RegressionTree,
     X: np.ndarray,
     residual: np.ndarray,
+    rows: np.ndarray,
+    fitted: np.ndarray,
     depth: int,
     params: GBTParams,
 ) -> int:
+    """Grow a subtree over the training rows `rows`, writing each row's leaf
+    value into `fitted`.  A row lands in the leaf that predicting it would
+    reach, because both take the same `<=` comparisons on the same values."""
     node = tree._new_node()
     split = _best_split(X, residual, params) if depth < params.max_depth else None
     if split is None:
         tree.value[node] = float(residual.sum() / (len(residual) + params.l2_reg))
+        fitted[rows] = tree.value[node]
         return node
     feat, thr, _ = split
     mask = X[:, feat] <= thr
     tree.feature[node] = feat
     tree.threshold[node] = thr
-    tree.left[node] = _grow(tree, X[mask], residual[mask], depth + 1, params)
-    tree.right[node] = _grow(tree, X[~mask], residual[~mask], depth + 1, params)
+    tree.left[node] = _grow(tree, X[mask], residual[mask], rows[mask], fitted, depth + 1, params)
+    tree.right[node] = _grow(
+        tree, X[~mask], residual[~mask], rows[~mask], fitted, depth + 1, params
+    )
     return node
 
 
@@ -171,18 +157,72 @@ class GBTEnsemble:
     train_losses: List[float] = field(default_factory=list)
 
     def raw_predict_batch(self, X: np.ndarray) -> np.ndarray:
-        out = np.full(len(X), self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            out += self.shrinkage * tree.predict_batch(X)
-        return out
+        """Unclamped forecasts for the rows of a float64 feature matrix."""
+        return PackedForest([self]).raw_predict(X, np.zeros(len(X), dtype=np.intp))
 
-    def predict(self, x: np.ndarray) -> float:
-        """Forecast order count for the next 15 minutes from one float64
-        feature row, clamped at zero."""
-        raw = self.base_score
-        for tree in self.trees:
-            raw += self.shrinkage * tree.predict(x)
-        return max(raw, 0.0)
+
+class PackedForest:
+    """The trees of several ensembles in flat node arrays.
+
+    Node arrays hold every tree of every ensemble back to back; `roots`
+    (ensembles x trees) indexes each tree's root, and `live` marks the
+    trees an ensemble really has.  A leaf points to itself on both sides,
+    so a walk of `depth` levels, the deepest tree's depth, ends on a leaf
+    in every tree.
+    """
+
+    def __init__(self, models: Sequence[GBTEnsemble]):
+        trees = [t for m in models for t in m.trees]
+        sizes = np.array([len(t.feature) for t in trees], dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+
+        def flat(attr: str, dtype) -> np.ndarray:
+            values = chain.from_iterable(getattr(t, attr) for t in trees)
+            return np.fromiter(values, dtype=dtype, count=int(sizes.sum()))
+
+        self.feature = flat("feature", np.intp)
+        leaves = np.flatnonzero(self.feature < 0)
+        self.feature[leaves] = 0
+        offset = np.repeat(starts, sizes)
+        self.left = flat("left", np.intp) + offset
+        self.left[leaves] = leaves
+        self.right = flat("right", np.intp) + offset
+        self.right[leaves] = leaves
+        self.threshold = flat("threshold", np.float64)
+        self.value = flat("value", np.float64)
+        counts = np.array([len(m.trees) for m in models], dtype=np.intp)
+        width = int(counts.max()) if len(models) else 0
+        self.live = np.arange(width) < counts[:, None]
+        self.roots = np.zeros((len(models), width), dtype=np.intp)
+        self.roots[self.live] = starts
+        self.base = np.array([m.base_score for m in models], dtype=np.float64)
+        self.shrinkage = np.array([m.shrinkage for m in models], dtype=np.float64)
+        self.depth = 0
+        frontier = starts
+        while True:
+            frontier = frontier[self.left[frontier] != frontier]  # drop leaves
+            if not len(frontier):
+                break
+            frontier = np.concatenate((self.left[frontier], self.right[frontier]))
+            self.depth += 1
+
+    def raw_predict(self, X: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """Unclamped forecast of row i of X by ensemble which[i].
+
+        Sums base + shrinkage * leaf tree by tree in the ensemble's order, as
+        a sequential accumulate: a pairwise sum would change the last bits.
+        """
+        rows = np.arange(len(X))[:, None]
+        node = self.roots[which]
+        for _ in range(self.depth):
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        terms = np.zeros((len(X), node.shape[1] + 1), dtype=np.float64)
+        terms[:, 0] = self.base[which]
+        np.multiply(
+            self.shrinkage[which, None], self.value[node], out=terms[:, 1:], where=self.live[which]
+        )
+        return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def train_gbt(
@@ -195,12 +235,14 @@ def train_gbt(
         raise ConfigError("cannot train a forecaster on an empty dataset")
     model = GBTEnsemble(base_score=float(y.mean()), shrinkage=params.shrinkage, params=params)
     current = np.full(len(y), model.base_score, dtype=np.float64)
+    rows = np.arange(len(y))
+    fitted = np.empty(len(y), dtype=np.float64)
     for _ in range(params.rounds):
         residual = y - current
         tree = RegressionTree()
-        _grow(tree, X, residual, 0, params)
+        _grow(tree, X, residual, rows, fitted, 0, params)
         model.trees.append(tree)
-        current += params.shrinkage * tree.predict_batch(X)
+        current += params.shrinkage * fitted
         model.train_losses.append(float(np.mean((y - current) ** 2)))
     return model
 
@@ -275,26 +317,37 @@ class OracleDemand:
     def __init__(self, config: ScenarioConfig):
         self._config = config
 
-    def predict(self, grid: int, minute: int, counts: Optional[np.ndarray]) -> float:
-        return oracle_predictor(self._config, grid, minute)
+    def predict(self, minute: int, counts: Optional[np.ndarray]) -> np.ndarray:
+        """Expected 15-minute demand of every grid, indexed by grid id."""
+        demand = np.zeros(len(self._config.region), dtype=np.float64)
+        for gid in self._config.region.restaurant_ids:
+            demand[gid] = oracle_predictor(self._config, gid, minute)
+        return demand
 
 
 class GbtDemand:
-    """Demand predictor backed by per-grid trained ensembles."""
+    """Demand predictor backed by per-grid trained ensembles, packed into one
+    forest that forecasts every modelled restaurant grid in one walk."""
 
     def __init__(self, models: Dict[int, GBTEnsemble], config: ScenarioConfig):
-        self._models = models
         self._config = config
+        grids = [g for g in config.region.restaurant_ids if g in models]
+        self._grids = np.array(grids, dtype=np.intp)
+        self._forest = PackedForest([models[g] for g in grids])
 
-    def predict(self, grid: int, minute: int, counts: Optional[np.ndarray]) -> float:
-        model = self._models.get(grid)
-        if model is None:
-            return 0.0
+    def predict(self, minute: int, counts: Optional[np.ndarray]) -> np.ndarray:
+        """Clamped 15-minute forecast of every grid, indexed by grid id; grids
+        without a model get zero."""
         if counts is None:
             raise ConfigError("gbt demand prediction needs the current shift counts")
-        hour = self._config.hour_at(minute)
-        lags = lag_window_counts(counts[grid], minute)
-        return model.predict(np.array([DEFAULT_SHIFT_WEEKDAY, hour, *lags], dtype=np.float64))
+        X = np.empty((len(self._grids), NUM_FEATURES), dtype=np.float64)
+        X[:, F_DOW] = DEFAULT_SHIFT_WEEKDAY
+        X[:, F_HOUR] = self._config.hour_at(minute)
+        X[:, F_LAG1:] = lag_window_counts(counts[self._grids], minute)
+        demand = np.zeros(len(self._config.region), dtype=np.float64)
+        raw = self._forest.raw_predict(X, np.arange(len(self._grids)))
+        demand[self._grids] = np.maximum(raw, 0.0)
+        return demand
 
 
 def train_demand_models(

@@ -60,14 +60,16 @@ class ServiceRegion:
     def __post_init__(self) -> None:
         if len(self.grids) != len(self.restaurant_flags):
             raise ValueError("restaurant_flags length must match grids")
-        index: Dict[HexCoord, int] = {}
+        # Keyed by plain (q, r) so that no HexCoord is built per neighbor.
+        index: Dict[Tuple[int, int], int] = {}
         for gid, coord in enumerate(self.grids):
-            if coord in index:
+            key = (coord.q, coord.r)
+            if key in index:
                 raise ValueError(f"duplicate grid coordinate {coord}")
-            index[coord] = gid
+            index[key] = gid
         neighbor_ids = tuple(
-            tuple(index.get(coord.neighbor(slot)) for slot in range(6))
-            for coord in self.grids
+            tuple(index.get((c.q + dq, c.r + dr)) for dq, dr in AXIAL_DIRECTIONS)
+            for c in self.grids
         )
         object.__setattr__(self, "_neighbor_ids", neighbor_ids)
         if self.grids and not self._connected():

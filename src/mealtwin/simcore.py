@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -121,7 +120,10 @@ class SimState:
         self.delivered = 0
         self.overdue = 0
         self.minute_counts = np.zeros((n, config.shift_minutes), dtype=np.float64)
-        self.predicted: Dict[int, float] = {}
+        # Predicted 15-minute demand per grid and its half-up rounding, held
+        # from one refresh_predictions to the next.
+        self.predicted = np.zeros(n, dtype=np.float64)
+        self.rounded_demand = np.zeros(n, dtype=np.int64)
         self.events: List[Event] = []
         self._finished = False
         self.log(
@@ -210,13 +212,18 @@ class SimState:
     # ------------------------------------------------------------- gap queries
 
     def refresh_predictions(self) -> None:
-        if self.predictor is None:
-            self.predicted = {}
-            return
-        self.predicted = {
-            gid: max(float(self.predictor.predict(gid, self.clock, self.minute_counts)), 0.0)
-            for gid in self.region.restaurant_ids
-        }
+        """Ask the predictor once for every grid's demand at this minute;
+        zero demand in myopic mode or without a predictor."""
+        n = len(self.region)
+        if self.predictor is None or self.mode == MODE_MYOPIC:
+            predicted = np.zeros(n, dtype=np.float64)
+        else:
+            raw = np.asarray(self.predictor.predict(self.clock, self.minute_counts))
+            if raw.shape != (n,):
+                raise ContractError(f"predictor returned shape {raw.shape}, expected ({n},)")
+            predicted = np.maximum(raw, 0.0, dtype=np.float64)
+        self.predicted = predicted
+        self.rounded_demand = _round_half_up(predicted)
 
     def supply_demand_gap(self, gid: int) -> int:
         """Courier supply minus order demand at one grid.
@@ -235,7 +242,7 @@ class SimState:
             g, dt = self.courier_eta_idle(c.id)
             if g == gid and dt <= ANTICIPATION_MIN:
                 supply += 1
-        return supply - _round_half_up(self.predicted.get(gid, 0.0))
+        return supply - int(self.rounded_demand[gid])
 
     def gap_field(self) -> np.ndarray:
         """supply_demand_gap of every grid, indexed by grid id."""
@@ -247,11 +254,7 @@ class SimState:
             g, dt = self.courier_eta_idle(c.id)
             if dt <= ANTICIPATION_MIN:
                 supply[g] += 1
-        demand = np.array(
-            [_round_half_up(self.predicted.get(gid, 0.0)) for gid in range(n)],
-            dtype=np.int64,
-        )
-        return supply - demand
+        return supply - self.rounded_demand
 
     # ------------------------------------------------------------ environment ops
 
@@ -519,8 +522,8 @@ class SimState:
         self.clock += 1
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def _round_half_up(x: np.ndarray) -> np.ndarray:
+    return np.floor(x + 0.5).astype(np.int64)
 
 
 # ------------------------------------------------------------------- event io

@@ -2,18 +2,19 @@
 
 None of this runs in a training or evaluation: toy MDPs with a tabular
 Q-learning oracle and a full DDQN loop over them, the finite-difference
-gradient of the TD loss, and lag features built straight from transaction
-records.  Tests import it as ``from oracles import ...``.
+gradient of the TD loss, lag features built straight from transaction
+records, and the scalar walk of the forecaster's trees.  Tests import it as
+``from oracles import ...``.
 """
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from mealtwin.errors import ContractError
-from mealtwin.forecast import NUM_LAGS, WINDOW_MIN
+from mealtwin.forecast import NUM_LAGS, WINDOW_MIN, GBTEnsemble, RegressionTree
 from mealtwin.rlcore import (
     ACT_LINEAR,
     ACT_RELU,
@@ -28,7 +29,7 @@ from mealtwin.rlcore import (
     select_action,
     sync_target,
 )
-from mealtwin.scenario import TransactionRecord
+from mealtwin.scenario import DEFAULT_SHIFT_WEEKDAY, ScenarioConfig, TransactionRecord
 
 # ---------------------------------------------------------------- gradients
 
@@ -263,3 +264,49 @@ def build_features(
         lags=tuple(lags),
         truncated=not covered,
     )
+
+
+# ------------------------------------------------------------- tree forecasts
+
+
+def tree_predict(tree: RegressionTree, x: np.ndarray) -> float:
+    """Leaf value of one tree for one float64 feature row, node by node."""
+    node = 0
+    while tree.feature[node] >= 0:
+        if x[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return tree.value[node]
+
+
+def ensemble_predict(model: GBTEnsemble, x: np.ndarray) -> float:
+    """base + shrinkage * leaf, tree by tree in Python floats, clamped at 0."""
+    raw = model.base_score
+    for tree in model.trees:
+        raw += model.shrinkage * tree_predict(tree, x)
+    return max(raw, 0.0)
+
+
+def scalar_lag_counts(counts: np.ndarray, minute: int) -> Tuple[float, ...]:
+    """Window k sums shift minutes (minute-15k, minute-15(k-1)], one grid."""
+    lags = []
+    for k in range(1, NUM_LAGS + 1):
+        lo_idx = max(minute - WINDOW_MIN * k + 1, 0)
+        hi_idx = min(minute - WINDOW_MIN * (k - 1), len(counts) - 1)
+        lags.append(float(counts[lo_idx : hi_idx + 1].sum()) if hi_idx >= lo_idx else 0.0)
+    return tuple(lags)
+
+
+def grid_forecasts(
+    models: Dict[int, GBTEnsemble], config: ScenarioConfig, minute: int, counts: np.ndarray
+) -> np.ndarray:
+    """Per-grid forecasts one grid and one tree at a time; zero for grids
+    without a model."""
+    out = np.zeros(len(config.region), dtype=np.float64)
+    for gid in config.region.restaurant_ids:
+        if gid in models:
+            lags = scalar_lag_counts(counts[gid], minute)
+            x = np.array([DEFAULT_SHIFT_WEEKDAY, config.hour_at(minute), *lags], dtype=np.float64)
+            out[gid] = ensemble_predict(models[gid], x)
+    return out

@@ -26,7 +26,7 @@ from mealtwin.forecast import (
 )
 from mealtwin.scenario import TransactionRecord, default_scenario, make_rng, synth_history
 
-from oracles import build_features
+from oracles import build_features, ensemble_predict, grid_forecasts
 
 T0 = datetime(2024, 1, 6, 20, 0)
 
@@ -65,16 +65,19 @@ def test_lag_window_counts_matches_build_features():
     base = datetime(2024, 1, 6, 19, 0)
     history = [TransactionRecord(base + timedelta(minutes=m), 7, 0) for m in order_minutes]
     expected = build_features(history, 7, base + timedelta(minutes=minute)).lags
-    assert lag_window_counts(counts, minute) == expected
+    assert tuple(lag_window_counts(counts, minute)) == expected
 
 
 def test_lag_window_counts_truncates_before_shift_start():
     counts = np.ones(120)
     # At minute 10 only shift minutes 0..10 exist, all inside the first
     # window (-5, 10]; windows entirely before the shift count zero.
-    assert lag_window_counts(counts, 10) == (11.0, 0.0, 0.0, 0.0)
-    assert lag_window_counts(counts, 0) == (1.0, 0.0, 0.0, 0.0)
-    assert lag_window_counts(counts, 119) == (15.0, 15.0, 15.0, 15.0)
+    assert tuple(lag_window_counts(counts, 10)) == (11.0, 0.0, 0.0, 0.0)
+    assert tuple(lag_window_counts(counts, 0)) == (1.0, 0.0, 0.0, 0.0)
+    assert tuple(lag_window_counts(counts, 119)) == (15.0, 15.0, 15.0, 15.0)
+    # Rows of a count matrix get their own windows.
+    both = lag_window_counts(np.stack([counts, 2 * counts]), 10)
+    assert both.tolist() == [[11.0, 0.0, 0.0, 0.0], [22.0, 0.0, 0.0, 0.0]]
 
 
 def test_build_training_sets_targets():
@@ -112,8 +115,8 @@ def test_gbt_fits_constant():
     y = np.full(40, 3.5)
     model = train_gbt(X, y, GBTParams(rounds=5))
     assert model.base_score == 3.5
-    pred = model.predict(np.zeros(2))
-    assert abs(pred - 3.5) < 1e-9
+    assert abs(model.raw_predict_batch(np.zeros((1, 2)))[0] - 3.5) < 1e-9
+    assert abs(ensemble_predict(model, np.zeros(2)) - 3.5) < 1e-9
 
 
 def test_gbt_learns_a_split_and_loss_decreases():
@@ -133,9 +136,14 @@ def test_gbt_prediction_clamped_at_zero():
     X = np.zeros((30, 2))
     y = np.full(30, -2.0)
     model = train_gbt(X, y, GBTParams(rounds=3))
-    assert model.predict(np.zeros(2)) == 0.0
-    # The unclamped raw prediction stays negative.
+    # The unclamped raw prediction stays negative; the forecast is zero.
     assert model.raw_predict_batch(np.zeros((1, 2)))[0] < 0
+    assert ensemble_predict(model, np.zeros(2)) == 0.0
+    config = default_scenario()
+    X6, y6 = np.zeros((30, 6)), np.full(30, -2.0)
+    predictor = GbtDemand({7: train_gbt(X6, y6, GBTParams(rounds=3))}, config)
+    demand = predictor.predict(30, np.zeros((25, 120)))
+    assert demand[7] == 0.0 and not np.signbit(demand[7])
 
 
 def test_gbt_min_leaf_blocks_tiny_splits():
@@ -188,7 +196,15 @@ def test_oracle_predictor_values():
     assert oracle_predictor(config, 8, 0) == pytest.approx(4.2 * 0.25)
     assert oracle_predictor(config, 7, 119) == pytest.approx(8.4 * 0.25)
     assert oracle_predictor(config, 0, 0) == 0.0  # household-only grid
-    assert OracleDemand(config).predict(7, 30, None) == pytest.approx(2.1)
+    predictor = OracleDemand(config)
+    demand = predictor.predict(30, None)
+    assert demand.shape == (25,) and demand.dtype == np.float64
+    assert demand[7] == pytest.approx(2.1)
+    # Every grid answers in one call, bitwise equal to the per-grid oracle.
+    for minute in (0, 59, 60, 119):
+        assert predictor.predict(minute, None).tolist() == [
+            oracle_predictor(config, g, minute) for g in range(25)
+        ]
 
 
 def test_gbt_demand_predictor_contract():
@@ -198,11 +214,13 @@ def test_gbt_demand_predictor_contract():
     predictor = GbtDemand(models, config)
     counts = np.zeros((25, 120))
     counts[7, 40:55] = 1.0
-    value = predictor.predict(7, 55, counts)
-    assert value >= 0.0
-    assert predictor.predict(0, 55, counts) == 0.0  # no model for households
+    demand = predictor.predict(55, counts)
+    assert demand.shape == (25,) and demand.dtype == np.float64
+    assert (demand >= 0.0).all()
+    assert demand[0] == 0.0  # no model for households
+    assert demand.tobytes() == grid_forecasts(models, config, 55, counts).tobytes()
     with pytest.raises(ConfigError):
-        predictor.predict(7, 55, None)
+        predictor.predict(55, None)
 
 
 def test_models_round_trip(tmp_path):
@@ -236,3 +254,35 @@ def test_gbt_beats_persistence_on_synthetic_holdout():
         base_err += base_mae * len(y)
         n += len(y)
     assert gbt_err / n <= base_err / n
+
+
+def _random_ensemble(rng, rounds: int, max_depth: int, base_shift: float):
+    X = np.column_stack(
+        [np.full(300, 5.0), rng.integers(19, 21, 300), rng.poisson(2.0, (300, 4))]
+    ).astype(np.float64)
+    y = rng.poisson(2.0, 300) + base_shift
+    return train_gbt(X, y, GBTParams(rounds=rounds, max_depth=max_depth, min_leaf=3))
+
+
+def test_packed_predict_bitwise_matches_scalar_walk(tmp_path):
+    config = default_scenario()
+    rng = make_rng(77)
+    # Tree counts and depths differ by grid; grid 9 has none and grid 19 is
+    # fit to a negative target, so its raw forecast is clamped.
+    shapes = {7: (12, 4), 8: (3, 1), 12: (7, 2), 13: (0, 3), 14: (20, 3), 19: (5, 2)}
+    models = {
+        g: _random_ensemble(rng, rounds, depth, -6.0 if g == 19 else 0.0)
+        for g, (rounds, depth) in shapes.items()
+    }
+    path = tmp_path / "gbt.json"
+    save_demand_models(path, models)
+    loaded = load_demand_models(path)
+    predictor = GbtDemand(loaded, config)
+    counts = rng.poisson(0.3, (25, 120)).astype(np.float64)
+    for minute in [0, 14, 15, 119, *rng.integers(0, 120, 40).tolist()]:
+        packed = predictor.predict(minute, counts)
+        assert packed.tobytes() == grid_forecasts(loaded, config, minute, counts).tobytes()
+        assert packed[19] == 0.0 and packed[9] == 0.0 and packed[0] == 0.0
+        assert packed[13] == loaded[13].base_score
+    probe = np.column_stack([np.full(4, 5.0), np.full(4, 19.0), np.zeros((4, 4))])
+    assert loaded[19].raw_predict_batch(probe).max() < 0

@@ -283,11 +283,15 @@ def test_current_gap_field():
 
 
 class StubPredictor:
+    """Fixed per-grid demand; records the minute of every call."""
+
     def __init__(self, values):
         self.values = values
+        self.minutes = []
 
-    def predict(self, grid, minute, counts):
-        return self.values.get(grid, 0.0)
+    def predict(self, minute, counts):
+        self.minutes.append(minute)
+        return np.array([self.values.get(g, 0.0) for g in range(len(counts))])
 
 
 def test_anticipated_gap_field():
@@ -307,6 +311,27 @@ def test_anticipated_gap_field():
     assert field[8] == -1  # 0.5 rounds up
     assert field[14] == 0  # 0.49 rounds down
     assert sim.supply_demand_gap(7) == -2
+    assert sim.rounded_demand.dtype == np.int64
+    assert sim.rounded_demand[[7, 8, 14]].tolist() == [2, 1, 0]
+
+
+def test_predictor_called_once_per_strategic_minute():
+    for mode, expected in ((MODE_STRATEGIC, list(range(120))), (MODE_MYOPIC, [])):
+        sim = make_sim(fleet=2, mode=mode, grids=(7, 8))
+        stub = StubPredictor({7: 1.6})
+        sim.predictor = stub
+        sim.run(noop)
+        assert stub.minutes == expected
+        # Myopic mode holds zero demand even with a predictor set.
+        sim.refresh_predictions()
+        assert sim.rounded_demand.sum() == (2 if mode == MODE_STRATEGIC else 0)
+
+
+def test_predictor_shape_is_checked():
+    sim = make_sim(fleet=1, mode=MODE_STRATEGIC)
+    sim.predictor = type("Short", (), {"predict": lambda self, m, c: np.zeros(3)})()
+    with pytest.raises(ContractError, match="shape"):
+        sim.refresh_predictions()
 
 
 def test_round_half_up():
