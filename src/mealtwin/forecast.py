@@ -54,6 +54,17 @@ class GBTParams:
     l2_reg: float = 1.0
     shrinkage: float = 0.1
 
+    def __post_init__(self):
+        if self.rounds < 0 or self.max_depth < 0 or self.min_leaf < 1:
+            raise ConfigError(
+                f"gbt needs rounds >= 0, max_depth >= 0 and min_leaf >= 1, got {self.rounds}, "
+                f"{self.max_depth} and {self.min_leaf}"
+            )
+        if not (math.isfinite(self.l2_reg) and self.l2_reg >= 0.0):
+            raise ConfigError(f"gbt l2_reg must be finite and >= 0, got {self.l2_reg}")
+        if not (math.isfinite(self.shrinkage) and self.shrinkage > 0.0):
+            raise ConfigError(f"gbt shrinkage must be finite and > 0, got {self.shrinkage}")
+
 
 @dataclass
 class RegressionTree:
@@ -75,74 +86,74 @@ class RegressionTree:
 
 
 def _best_split(
-    X: np.ndarray, residual: np.ndarray, params: GBTParams
-) -> Optional[Tuple[int, float, float]]:
-    """Best (feature, threshold, gain) by L2-regularized variance reduction.
+    XT: np.ndarray, residual: np.ndarray, order: np.ndarray, total: float, params: GBTParams
+) -> Optional[Tuple[int, float]]:
+    """Best (feature, threshold) by L2-regularized variance reduction, or None
+    when no split gains more than 1e-12.
 
-    Ties resolve to the lowest feature index, then the lowest threshold:
-    thresholds are scanned in ascending order per feature (argmax keeps the
-    first maximum) and only a strictly larger gain replaces the incumbent
-    across features.
+    `order` (features x node rows) lists the node's row ids sorted by each
+    feature, as a stable argsort of the node's rows would; `total` is the
+    node's residual sum.  All features are scored in one pass.  Ties resolve
+    to the lowest feature index, then the lowest threshold: np.nonzero lists
+    the candidate boundaries feature-major and argmax keeps the first maximum.
     """
-    n = len(residual)
+    n = order.shape[1]
     if n < 2 * params.min_leaf:
         return None
     lam = params.l2_reg
-    total = residual.sum()
     parent_score = total * total / (n + lam)
-    best: Optional[Tuple[int, float, float]] = None
-    for feat in range(X.shape[1]):
-        order = np.argsort(X[:, feat], kind="stable")
-        xs = X[order, feat]
-        prefix = np.cumsum(residual[order])
-        # Candidate split after sorted position i: left = [0..i], right = rest.
-        i = np.arange(params.min_leaf - 1, n - params.min_leaf)
-        valid = xs[i] != xs[i + 1]
-        if not valid.any():
-            continue
-        n_left = (i + 1).astype(np.float64)
-        left_sum = prefix[i]
-        right_sum = total - left_sum
-        gains = (
-            left_sum**2 / (n_left + lam)
-            + right_sum**2 / (n - n_left + lam)
-            - parent_score
-        )
-        gains[~valid] = -np.inf
-        pos = int(np.argmax(gains))
-        gain = float(gains[pos])
-        if gain > 1e-12 and (best is None or gain > best[2]):
-            thr = float((xs[i[pos]] + xs[i[pos] + 1]) / 2.0)
-            best = (feat, thr, gain)
-    return best
+    xs = XT[np.arange(len(order))[:, None], order]
+    prefix = np.cumsum(residual[order], axis=1)
+    # Candidate split after sorted position i: left = [0..i], right = rest,
+    # kept only where the value changes from i to i + 1.
+    lo, hi = params.min_leaf - 1, n - params.min_leaf
+    feat, i = np.nonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1])
+    if not len(i):
+        return None
+    i += lo
+    n_left = (i + 1).astype(np.float64)
+    left_sum = prefix[feat, i]
+    right_sum = total - left_sum
+    gains = left_sum**2 / (n_left + lam) + right_sum**2 / (n - n_left + lam) - parent_score
+    pos = int(np.argmax(gains))
+    if gains[pos] <= 1e-12:
+        return None
+    f, at = int(feat[pos]), int(i[pos])
+    return f, float((xs[f, at] + xs[f, at + 1]) / 2.0)
 
 
 def _grow(
     tree: RegressionTree,
-    X: np.ndarray,
+    XT: np.ndarray,
     residual: np.ndarray,
     rows: np.ndarray,
+    order: np.ndarray,
     fitted: np.ndarray,
     depth: int,
     params: GBTParams,
 ) -> int:
-    """Grow a subtree over the training rows `rows`, writing each row's leaf
-    value into `fitted`.  A row lands in the leaf that predicting it would
-    reach, because both take the same `<=` comparisons on the same values."""
+    """Grow a subtree over the training rows `rows` (ascending ids, with
+    `order` their per-feature sort), writing each row's leaf value into
+    `fitted`.  A row lands in the leaf that predicting it would reach,
+    because both take the same `<=` comparisons on the same values."""
     node = tree._new_node()
-    split = _best_split(X, residual, params) if depth < params.max_depth else None
+    total = residual[rows].sum()
+    split = _best_split(XT, residual, order, total, params) if depth < params.max_depth else None
     if split is None:
-        tree.value[node] = float(residual.sum() / (len(residual) + params.l2_reg))
+        tree.value[node] = float(total / (len(rows) + params.l2_reg))
         fitted[rows] = tree.value[node]
         return node
-    feat, thr, _ = split
-    mask = X[:, feat] <= thr
+    feat, thr = split
+    go_left = XT[feat] <= thr
     tree.feature[node] = feat
     tree.threshold[node] = thr
-    tree.left[node] = _grow(tree, X[mask], residual[mask], rows[mask], fitted, depth + 1, params)
-    tree.right[node] = _grow(
-        tree, X[~mask], residual[~mask], rows[~mask], fitted, depth + 1, params
+    # Filtering each sorted row keeps it sorted, ties still by row id.
+    left, right = (
+        (rows[side[rows]], order[side[order]].reshape(len(order), -1))
+        for side in (go_left, ~go_left)
     )
+    tree.left[node] = _grow(tree, XT, residual, *left, fitted, depth + 1, params)
+    tree.right[node] = _grow(tree, XT, residual, *right, fitted, depth + 1, params)
     return node
 
 
@@ -228,19 +239,31 @@ class PackedForest:
 def train_gbt(
     X: np.ndarray, y: np.ndarray, params: GBTParams = GBTParams()
 ) -> GBTEnsemble:
-    """Fit a boosting ensemble; each round fits a tree to current residuals."""
+    """Fit a boosting ensemble; each round fits a tree to current residuals.
+
+    Each feature is sorted once per fit; a node's sort is its parent's,
+    filtered to the rows the node keeps.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+        raise ConfigError(
+            f"training data needs an (n, features) X and n targets, got {X.shape} and {y.shape}"
+        )
     if len(X) == 0:
         raise ConfigError("cannot train a forecaster on an empty dataset")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ConfigError("training data holds non-finite values")
     model = GBTEnsemble(base_score=float(y.mean()), shrinkage=params.shrinkage, params=params)
     current = np.full(len(y), model.base_score, dtype=np.float64)
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
     rows = np.arange(len(y))
     fitted = np.empty(len(y), dtype=np.float64)
     for _ in range(params.rounds):
         residual = y - current
         tree = RegressionTree()
-        _grow(tree, X, residual, rows, fitted, 0, params)
+        _grow(tree, XT, residual, rows, order, fitted, 0, params)
         model.trees.append(tree)
         current += params.shrinkage * fitted
         model.train_losses.append(float(np.mean((y - current) ** 2)))
@@ -371,14 +394,31 @@ def _tree_to_dict(tree: RegressionTree) -> dict:
     }
 
 
-def _tree_from_dict(doc: dict) -> RegressionTree:
-    return RegressionTree(
+def _tree_from_dict(doc: dict, where: str) -> RegressionTree:
+    """A tree from its saved node lists, checked to be one that the packed
+    walk can take: children come after their node in preorder, leaves have
+    none, and every feature index and number is usable."""
+    tree = RegressionTree(
         feature=[int(v) for v in doc["feature"]],
         threshold=[float(v) for v in doc["threshold"]],
         left=[int(v) for v in doc["left"]],
         right=[int(v) for v in doc["right"]],
         value=[float(v) for v in doc["value"]],
     )
+    n = len(tree.feature)
+    if not n or any(len(v) != n for v in (tree.threshold, tree.left, tree.right, tree.value)):
+        raise ConfigError(f"{where}: node lists must be non-empty and of equal length")
+    feature, left, right = (np.array(v) for v in (tree.feature, tree.left, tree.right))
+    leaf = feature == -1
+    if not (leaf | ((feature >= 0) & (feature < NUM_FEATURES))).all():
+        raise ConfigError(f"{where}: feature index outside -1 and 0..{NUM_FEATURES - 1}")
+    node = np.arange(n)
+    inner_ok = (node < left) & (left < n) & (node < right) & (right < n)
+    if not np.where(leaf, (left == -1) & (right == -1), inner_ok).all():
+        raise ConfigError(f"{where}: a child index is out of range or not after its node")
+    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+        raise ConfigError(f"{where}: thresholds and values must be finite")
+    return tree
 
 
 def save_demand_models(path: Path, models: Dict[int, GBTEnsemble]) -> None:
@@ -422,10 +462,15 @@ def load_demand_models(path: Path) -> Dict[int, GBTEnsemble]:
             l2_reg=float(entry["params"]["l2_reg"]),
             shrinkage=float(entry["params"]["shrinkage"]),
         )
-        models[int(gid)] = GBTEnsemble(
+        model = GBTEnsemble(
             base_score=float(entry["base_score"]),
             shrinkage=float(entry["shrinkage"]),
-            trees=[_tree_from_dict(t) for t in entry["trees"]],
+            trees=[
+                _tree_from_dict(t, f"grid {gid} tree {k}") for k, t in enumerate(entry["trees"])
+            ],
             params=params,
         )
+        if not (math.isfinite(model.base_score) and math.isfinite(model.shrinkage)):
+            raise ConfigError(f"grid {gid}: base score and shrinkage must be finite")
+        models[int(gid)] = model
     return models

@@ -3,18 +3,19 @@
 None of this runs in a training or evaluation: toy MDPs with a tabular
 Q-learning oracle and a full DDQN loop over them, the finite-difference
 gradient of the TD loss, lag features built straight from transaction
-records, and the scalar walk of the forecaster's trees.  Tests import it as
+records, the forecaster's per-node split search with a fresh sort per
+feature, and the scalar walk of its trees.  Tests import it as
 ``from oracles import ...``.
 """
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from mealtwin.errors import ContractError
-from mealtwin.forecast import NUM_LAGS, WINDOW_MIN, GBTEnsemble, RegressionTree
+from mealtwin.forecast import NUM_LAGS, WINDOW_MIN, GBTEnsemble, GBTParams, RegressionTree
 from mealtwin.rlcore import (
     ACT_LINEAR,
     ACT_RELU,
@@ -264,6 +265,95 @@ def build_features(
         lags=tuple(lags),
         truncated=not covered,
     )
+
+
+# ------------------------------------------------------------- tree fitting
+
+
+def reference_best_split(
+    X: np.ndarray, residual: np.ndarray, params: GBTParams
+) -> Optional[Tuple[int, float, float]]:
+    """Best (feature, threshold, gain) of one node, one feature at a time,
+    each with a fresh stable argsort of the node's rows.  Ties resolve to
+    the lowest feature, then the lowest threshold."""
+    n = len(residual)
+    if n < 2 * params.min_leaf:
+        return None
+    lam = params.l2_reg
+    total = residual.sum()
+    parent_score = total * total / (n + lam)
+    best: Optional[Tuple[int, float, float]] = None
+    for feat in range(X.shape[1]):
+        order = np.argsort(X[:, feat], kind="stable")
+        xs = X[order, feat]
+        prefix = np.cumsum(residual[order])
+        # Candidate split after sorted position i: left = [0..i], right = rest.
+        i = np.arange(params.min_leaf - 1, n - params.min_leaf)
+        valid = xs[i] != xs[i + 1]
+        if not valid.any():
+            continue
+        n_left = (i + 1).astype(np.float64)
+        left_sum = prefix[i]
+        right_sum = total - left_sum
+        gains = (
+            left_sum**2 / (n_left + lam)
+            + right_sum**2 / (n - n_left + lam)
+            - parent_score
+        )
+        gains[~valid] = -np.inf
+        pos = int(np.argmax(gains))
+        gain = float(gains[pos])
+        if gain > 1e-12 and (best is None or gain > best[2]):
+            thr = float((xs[i[pos]] + xs[i[pos] + 1]) / 2.0)
+            best = (feat, thr, gain)
+    return best
+
+
+def _reference_grow(
+    tree: RegressionTree,
+    X: np.ndarray,
+    residual: np.ndarray,
+    rows: np.ndarray,
+    fitted: np.ndarray,
+    depth: int,
+    params: GBTParams,
+) -> int:
+    node = tree._new_node()
+    split = reference_best_split(X, residual, params) if depth < params.max_depth else None
+    if split is None:
+        tree.value[node] = float(residual.sum() / (len(residual) + params.l2_reg))
+        fitted[rows] = tree.value[node]
+        return node
+    feat, thr, _ = split
+    mask = X[:, feat] <= thr
+    tree.feature[node] = feat
+    tree.threshold[node] = thr
+    tree.left[node] = _reference_grow(
+        tree, X[mask], residual[mask], rows[mask], fitted, depth + 1, params
+    )
+    tree.right[node] = _reference_grow(
+        tree, X[~mask], residual[~mask], rows[~mask], fitted, depth + 1, params
+    )
+    return node
+
+
+def reference_train_gbt(X: np.ndarray, y: np.ndarray, params: GBTParams) -> GBTEnsemble:
+    """`train_gbt` with the split search above: the node-by-node walk the
+    presorted fit must reproduce bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    model = GBTEnsemble(base_score=float(y.mean()), shrinkage=params.shrinkage, params=params)
+    current = np.full(len(y), model.base_score, dtype=np.float64)
+    rows = np.arange(len(y))
+    fitted = np.empty(len(y), dtype=np.float64)
+    for _ in range(params.rounds):
+        residual = y - current
+        tree = RegressionTree()
+        _reference_grow(tree, X, residual, rows, fitted, 0, params)
+        model.trees.append(tree)
+        current += params.shrinkage * fitted
+        model.train_losses.append(float(np.mean((y - current) ** 2)))
+    return model
 
 
 # ------------------------------------------------------------- tree forecasts

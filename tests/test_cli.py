@@ -447,6 +447,25 @@ def test_synth_history_and_forecast_eval(workspace, tmp_path, capsys):
     assert model_out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--min-leaf", "0"],
+        ["--min-leaf", "-2"],
+        ["--shrinkage", "nan"],
+        ["--rounds", "-1"],
+        ["--max-depth", "-1"],
+    ],
+)
+def test_forecast_eval_rejects_bad_gbt_params(workspace, tmp_path, capsys, flags):
+    scenario = str(workspace / "scenario.json")
+    history = str(tmp_path / "history.csv")
+    assert main(["synth-history", "--scenario", scenario, "--weeks", "1", "--out", history]) == 0
+    args = ["forecast-eval", "--scenario", scenario, "--history", history, "--holdout", history]
+    assert main(args + flags) == 2
+    assert "mealtwin: error: gbt" in capsys.readouterr().err
+
+
 def test_snapshot_command(workspace, tmp_path, capsys):
     events_out = tmp_path / "events.csv"
     assert (

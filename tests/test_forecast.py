@@ -1,10 +1,12 @@
 """Demand forecasting tests: lag windows, boosting, predictors."""
 
+import json
 import math
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mealtwin.errors import ConfigError
 from mealtwin.forecast import (
@@ -26,7 +28,7 @@ from mealtwin.forecast import (
 )
 from mealtwin.scenario import TransactionRecord, default_scenario, make_rng, synth_history
 
-from oracles import build_features, ensemble_predict, grid_forecasts
+from oracles import build_features, ensemble_predict, grid_forecasts, reference_train_gbt
 
 T0 = datetime(2024, 1, 6, 20, 0)
 
@@ -286,3 +288,215 @@ def test_packed_predict_bitwise_matches_scalar_walk(tmp_path):
         assert packed[13] == loaded[13].base_score
     probe = np.column_stack([np.full(4, 5.0), np.full(4, 19.0), np.zeros((4, 4))])
     assert loaded[19].raw_predict_batch(probe).max() < 0
+
+
+def assert_same_fit(X, y, params):
+    """The presorted fit gives the reference walk's trees and losses, bit
+    for bit."""
+    def bits(values):
+        return np.array(values, dtype=np.float64).tobytes()
+
+    fit = train_gbt(X, y, params)
+    ref = reference_train_gbt(X, y, params)
+    assert fit.base_score == ref.base_score
+    assert bits(fit.train_losses) == bits(ref.train_losses)
+    assert len(fit.trees) == len(ref.trees)
+    for a, b in zip(fit.trees, ref.trees):
+        assert (a.feature, a.left, a.right) == (b.feature, b.left, b.right)
+        assert bits(a.threshold) == bits(b.threshold) and bits(a.value) == bits(b.value)
+
+
+def _fit_case(name):
+    rng = make_rng(sum(map(ord, name)))
+    ties = rng.integers(0, 3, (80, 6)).astype(np.float64)
+    noisy = rng.normal(0.0, 1.0, 80)
+    if name == "integer ties":
+        return ties, rng.poisson(2.0, 80).astype(np.float64), GBTParams(rounds=15)
+    if name == "constant column":
+        X = ties.copy()
+        X[:, 2] = 4.0
+        return X, X[:, 0] * 2.0 + noisy, GBTParams(rounds=10, max_depth=3)
+    if name == "min_leaf 1":
+        return ties, noisy, GBTParams(rounds=8, max_depth=6, min_leaf=1)
+    if name == "min_leaf n/2":
+        return ties, noisy, GBTParams(rounds=8, min_leaf=40)
+    if name.startswith("max_depth"):
+        depth = int(name.split()[1])
+        return ties, noisy + ties[:, 1], GBTParams(rounds=6, max_depth=depth, min_leaf=2)
+    if name == "negative targets":
+        return ties, -3.0 - rng.poisson(2.0, 80), GBTParams(rounds=10)
+    if name == "n < 2 min_leaf":
+        return ties[:9], noisy[:9], GBTParams(rounds=3, min_leaf=5)
+    if name == "single row":
+        return ties[:1], noisy[:1], GBTParams(rounds=3, min_leaf=1)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "integer ties",
+        "constant column",
+        "min_leaf 1",
+        "min_leaf n/2",
+        "max_depth 0",
+        "max_depth 1",
+        "max_depth 8",
+        "negative targets",
+        "n < 2 min_leaf",
+        "single row",
+    ],
+)
+def test_presorted_fit_matches_reference_walk(name):
+    assert_same_fit(*_fit_case(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 150),
+    cols=st.integers(1, 6),
+    levels=st.integers(1, 6),
+    max_depth=st.integers(0, 5),
+    min_leaf=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_presorted_fit_matches_reference_on_drawn_data(
+    rows, cols, levels, max_depth, min_leaf, seed
+):
+    rng = make_rng(seed)
+    # Few distinct values per column, so ties and equal gains are common;
+    # fractional targets make the residual sums depend on the order of ties.
+    X = rng.integers(0, levels, (rows, cols)).astype(np.float64)
+    y = rng.integers(-3, 4, rows) + rng.uniform(0.0, 1.0, rows)
+    assert_same_fit(X, y, GBTParams(rounds=4, max_depth=max_depth, min_leaf=min_leaf))
+
+
+def test_presorted_fit_matches_reference_on_demand_history():
+    config = default_scenario()
+    X, y = build_training_sets(synth_history(config, 2, make_rng(8)), config)[7]
+    assert_same_fit(X, y, GBTParams(rounds=5, max_depth=5, min_leaf=3))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"min_leaf": 0},
+        {"min_leaf": -2},
+        {"rounds": -1},
+        {"max_depth": -1},
+        {"l2_reg": -0.5},
+        {"l2_reg": math.nan},
+        {"l2_reg": math.inf},
+        {"shrinkage": 0.0},
+        {"shrinkage": -0.1},
+        {"shrinkage": math.nan},
+        {"shrinkage": math.inf},
+    ],
+    ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+)
+def test_gbt_params_rejected_when_built(kwargs):
+    with pytest.raises(ConfigError):
+        GBTParams(**kwargs)
+
+
+def test_gbt_params_edge_values_accepted():
+    GBTParams(rounds=0, max_depth=0, min_leaf=1, l2_reg=0.0, shrinkage=1e-9)
+
+
+@pytest.mark.parametrize(
+    "X, y",
+    [
+        (np.zeros(5), np.zeros(5)),
+        (np.zeros((5, 2, 1)), np.zeros(5)),
+        (np.zeros((5, 2)), np.zeros(4)),
+        (np.zeros((5, 2)), np.zeros((5, 1))),
+        (np.array([[0.0, np.nan]] * 5), np.zeros(5)),
+        (np.array([[0.0, np.inf]] * 5), np.zeros(5)),
+        (np.zeros((5, 2)), np.array([0.0, 1.0, np.nan, 0.0, 0.0])),
+    ],
+    ids=["X 1-D", "X 3-D", "length mismatch", "y 2-D", "nan in X", "inf in X", "nan in y"],
+)
+def test_train_gbt_refuses_bad_data(X, y):
+    with pytest.raises(ConfigError):
+        train_gbt(X, y, GBTParams(rounds=2))
+
+
+def _saved_model_doc(tmp_path):
+    config = default_scenario()
+    models = train_demand_models(synth_history(config, 2, make_rng(9)), config, GBTParams(rounds=2))
+    path = tmp_path / "gbt.json"
+    save_demand_models(path, models)
+    return path, json.loads(path.read_text())
+
+
+def _corrupt(tree: dict, case: str) -> None:
+    # The root of a depth-4 fit is an internal node whose children are 1 and
+    # a later node; its last node is a leaf.
+    if case == "unequal lengths":
+        tree["value"].append(0.0)
+    elif case == "no nodes":
+        for key in tree:
+            tree[key] = []
+    elif case == "feature 9":
+        tree["feature"][0] = 9
+    elif case == "feature -2":
+        tree["feature"][0] = -2
+    elif case == "left 99":
+        tree["left"][0] = 99
+    elif case == "right before node":
+        tree["right"][1 if tree["feature"][1] >= 0 else 0] = 0
+    elif case == "left is itself":
+        tree["left"][0] = 0
+    elif case == "leaf with a child":
+        tree["left"][-1] = len(tree["left"]) - 1
+    elif case == "nan threshold":
+        tree["threshold"][0] = math.nan
+    elif case == "inf value":
+        tree["value"][-1] = math.inf
+    else:
+        raise KeyError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "unequal lengths",
+        "no nodes",
+        "feature 9",
+        "feature -2",
+        "left 99",
+        "right before node",
+        "left is itself",
+        "leaf with a child",
+        "nan threshold",
+        "inf value",
+    ],
+)
+def test_corrupt_model_file_refused_at_load(tmp_path, case):
+    path, doc = _saved_model_doc(tmp_path)
+    tree = doc["grids"]["7"]["trees"][1]
+    assert tree["feature"][0] >= 0 and tree["feature"][-1] == -1
+    _corrupt(tree, case)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_demand_models(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("params.min_leaf", 0),
+        ("params.shrinkage", math.nan),
+        ("base_score", math.inf),
+        ("shrinkage", math.nan),
+    ],
+)
+def test_model_file_numbers_checked_at_load(tmp_path, key, value):
+    path, doc = _saved_model_doc(tmp_path)
+    entry = doc["grids"]["8"]
+    if key.startswith("params."):
+        entry, key = entry["params"], key.split(".")[1]
+    entry[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_demand_models(path)
