@@ -454,23 +454,26 @@ def load_demand_models(path: Path) -> Dict[int, GBTEnsemble]:
     if doc.get("schema") != GBT_SCHEMA:
         raise ConfigError(f"unsupported forecast model schema: {doc.get('schema')!r}")
     models = {}
-    for gid, entry in doc["grids"].items():
-        params = GBTParams(
-            rounds=int(entry["params"]["rounds"]),
-            max_depth=int(entry["params"]["max_depth"]),
-            min_leaf=int(entry["params"]["min_leaf"]),
-            l2_reg=float(entry["params"]["l2_reg"]),
-            shrinkage=float(entry["params"]["shrinkage"]),
-        )
-        model = GBTEnsemble(
-            base_score=float(entry["base_score"]),
-            shrinkage=float(entry["shrinkage"]),
-            trees=[
-                _tree_from_dict(t, f"grid {gid} tree {k}") for k, t in enumerate(entry["trees"])
-            ],
-            params=params,
-        )
-        if not (math.isfinite(model.base_score) and math.isfinite(model.shrinkage)):
-            raise ConfigError(f"grid {gid}: base score and shrinkage must be finite")
-        models[int(gid)] = model
+    try:
+        for gid, entry in doc["grids"].items():
+            params = GBTParams(
+                rounds=int(entry["params"]["rounds"]),
+                max_depth=int(entry["params"]["max_depth"]),
+                min_leaf=int(entry["params"]["min_leaf"]),
+                l2_reg=float(entry["params"]["l2_reg"]),
+                shrinkage=float(entry["params"]["shrinkage"]),
+            )
+            model = GBTEnsemble(
+                base_score=float(entry["base_score"]),
+                shrinkage=float(entry["shrinkage"]),
+                trees=[
+                    _tree_from_dict(t, f"grid {gid} tree {k}") for k, t in enumerate(entry["trees"])
+                ],
+                params=params,
+            )
+            if not (math.isfinite(model.base_score) and math.isfinite(model.shrinkage)):
+                raise ConfigError(f"grid {gid}: base score and shrinkage must be finite")
+            models[int(gid)] = model
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"forecast model file {path} is malformed: {exc!r}") from exc
     return models

@@ -453,6 +453,10 @@ def _corrupt(tree: dict, case: str) -> None:
         tree["threshold"][0] = math.nan
     elif case == "inf value":
         tree["value"][-1] = math.inf
+    elif case == "missing value list":
+        del tree["value"]
+    elif case == "text threshold":
+        tree["threshold"][0] = "high"
     else:
         raise KeyError(case)
 
@@ -470,6 +474,8 @@ def _corrupt(tree: dict, case: str) -> None:
         "leaf with a child",
         "nan threshold",
         "inf value",
+        "missing value list",
+        "text threshold",
     ],
 )
 def test_corrupt_model_file_refused_at_load(tmp_path, case):
