@@ -51,25 +51,20 @@ def encode_dispatch_state(sim: SimState, oid: int) -> Tuple[np.ndarray, np.ndarr
     o = sim.orders[oid]
     if o.status != "pending":
         raise ContractError(f"order {oid} is not pending")
-    field = sim.gap_field()
-    s = np.zeros(1 + 3 * sim.config.fleet_size, dtype=np.float64)
+    rows = sim.courier_rows()
+    s = np.empty(1 + 3 * sim.config.fleet_size, dtype=np.float64)
     s[0] = o.est_ready - sim.clock
-    for c in sim.couriers:
-        g, dt = sim.courier_eta_idle(c.id)
-        base = 1 + 3 * c.id
-        s[base] = dt
-        s[base + 1] = sim.region.distance(g, o.restaurant)
-        s[base + 2] = field[g]
+    s[1::3] = rows.eta
+    s[2::3] = sim.region.distances[rows.grid, o.restaurant]
+    s[3::3] = sim.gap_field()[rows.grid]
     return s, task_count_mask(sim)
 
 
 def task_count_mask(sim: SimState) -> np.ndarray:
     """Valid dispatch actions: couriers below the delivery-task cap, plus
     postponing (the last action), which is always valid."""
-    mask = np.zeros(sim.config.fleet_size + 1, dtype=bool)
-    mask[-1] = True
-    for c in sim.couriers:
-        mask[c.id] = c.delivery_task_count() < sim.config.max_delivery_tasks
+    mask = np.ones(sim.config.fleet_size + 1, dtype=bool)
+    mask[:-1] = sim.courier_rows().tasks < sim.config.max_delivery_tasks
     return mask
 
 

@@ -394,15 +394,26 @@ def _tree_to_dict(tree: RegressionTree) -> dict:
     }
 
 
+def _whole(v) -> int:
+    """A saved integer field: an int, or a float holding a whole number.
+    Booleans, strings and fractions, which int() would silently accept or
+    truncate, are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{v!r} is not a whole number")
+    if isinstance(v, float) and not v.is_integer():
+        raise ConfigError(f"{v!r} is not a whole number")
+    return int(v)
+
+
 def _tree_from_dict(doc: dict, where: str) -> RegressionTree:
     """A tree from its saved node lists, checked to be one that the packed
     walk can take: children come after their node in preorder, leaves have
     none, and every feature index and number is usable."""
     tree = RegressionTree(
-        feature=[int(v) for v in doc["feature"]],
+        feature=[_whole(v) for v in doc["feature"]],
         threshold=[float(v) for v in doc["threshold"]],
-        left=[int(v) for v in doc["left"]],
-        right=[int(v) for v in doc["right"]],
+        left=[_whole(v) for v in doc["left"]],
+        right=[_whole(v) for v in doc["right"]],
         value=[float(v) for v in doc["value"]],
     )
     n = len(tree.feature)
@@ -457,9 +468,9 @@ def load_demand_models(path: Path) -> Dict[int, GBTEnsemble]:
     try:
         for gid, entry in doc["grids"].items():
             params = GBTParams(
-                rounds=int(entry["params"]["rounds"]),
-                max_depth=int(entry["params"]["max_depth"]),
-                min_leaf=int(entry["params"]["min_leaf"]),
+                rounds=_whole(entry["params"]["rounds"]),
+                max_depth=_whole(entry["params"]["max_depth"]),
+                min_leaf=_whole(entry["params"]["min_leaf"]),
                 l2_reg=float(entry["params"]["l2_reg"]),
                 shrinkage=float(entry["params"]["shrinkage"]),
             )

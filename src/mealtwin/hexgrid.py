@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 # Canonical neighbor offsets, slot order 0..5.  All neighbor enumeration must
 # use this order.
@@ -37,13 +40,6 @@ class HexCoord:
     def neighbor(self, slot: int) -> "HexCoord":
         dq, dr = AXIAL_DIRECTIONS[slot]
         return HexCoord(self.q + dq, self.r + dr)
-
-
-def hex_distance(a: HexCoord, b: HexCoord) -> int:
-    """Lattice distance: (|dq| + |dr| + |dq+dr|) / 2."""
-    dq = a.q - b.q
-    dr = a.r - b.r
-    return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
 
 
 @dataclass(frozen=True)
@@ -89,6 +85,30 @@ class ServiceRegion:
     def __len__(self) -> int:
         return len(self.grids)
 
+    # The two tables below are built on first use, once per region, so that
+    # loading a scenario does not pay for them.
+
+    @cached_property
+    def neighborhoods(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each grid followed by its in-region neighbors in slot order (7
+        grids inside the region, fewer at its edges), indexed by grid id."""
+        return tuple(
+            (gid,) + tuple(nid for nid in nids if nid is not None)
+            for gid, nids in enumerate(self._neighbor_ids)
+        )
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Read-only lattice distance (|dq| + |dr| + |dq+dr|) / 2 between
+        every pair of grids, indexed by grid id."""
+        q = np.array([c.q for c in self.grids], dtype=np.int64)
+        r = np.array([c.r for c in self.grids], dtype=np.int64)
+        dq = q[:, None] - q[None, :]
+        dr = r[:, None] - r[None, :]
+        distances = (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
+        distances.flags.writeable = False
+        return distances
+
     @property
     def restaurant_ids(self) -> Tuple[int, ...]:
         return tuple(g for g, flag in enumerate(self.restaurant_flags) if flag)
@@ -101,7 +121,7 @@ class ServiceRegion:
     def distance(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        return hex_distance(self.grids[a], self.grids[b])
+        return self.distances.item(a, b)  # a plain int, so event details stay JSON-safe
 
     def _check(self, gid: int) -> None:
         if not 0 <= gid < len(self.grids):

@@ -80,6 +80,17 @@ class Courier:
 
 
 @dataclass
+class CourierRows:
+    """The fleet's projection as arrays indexed by courier id, held for one
+    simulated minute: the grid where each courier's queued work ends, the
+    minutes until then (kitchen estimates) and its delivery-task count."""
+
+    grid: np.ndarray
+    eta: np.ndarray
+    tasks: np.ndarray
+
+
+@dataclass
 class Event:
     minute: int
     entity: str
@@ -124,6 +135,9 @@ class SimState:
         # from one refresh_predictions to the next.
         self.predicted = np.zeros(n, dtype=np.float64)
         self.rounded_demand = np.zeros(n, dtype=np.int64)
+        # Courier rows and the minute they were built at; see courier_rows.
+        self._rows: Optional[CourierRows] = None
+        self._rows_minute = -1
         self.events: List[Event] = []
         self._finished = False
         self.log(
@@ -209,6 +223,33 @@ class SimState:
         d = self.region.distance(g, restaurant)
         return g, d, t + MINUTES_PER_UNIT * d
 
+    def courier_rows(self) -> CourierRows:
+        """Every courier's projection at this minute.
+
+        The first query of a minute builds all rows; within the minute only
+        apply_dispatch and apply_reallocation change a courier, and each
+        rebuilds that courier's row.  The engine moves couriers only between
+        minutes, so no row outlives the minute it was built in.
+        """
+        if self._rows_minute != self.clock:
+            couriers = self.couriers
+            projected = [self.courier_eta_idle(c.id) for c in couriers]
+            self._rows = CourierRows(
+                grid=np.array([g for g, _ in projected], dtype=np.int64),
+                eta=np.array([dt for _, dt in projected], dtype=np.float64),
+                tasks=np.array([c.delivery_task_count() for c in couriers], dtype=np.int64),
+            )
+            self._rows_minute = self.clock
+        return self._rows
+
+    def _courier_changed(self, cid: int) -> None:
+        """Rebuild one courier's row, if this minute's rows are built."""
+        if self._rows_minute != self.clock:
+            return
+        rows = self._rows
+        rows.grid[cid], rows.eta[cid] = self.courier_eta_idle(cid)
+        rows.tasks[cid] = self.couriers[cid].delivery_task_count()
+
     # ------------------------------------------------------------- gap queries
 
     def refresh_predictions(self) -> None:
@@ -226,7 +267,11 @@ class SimState:
         self.rounded_demand = _round_half_up(predicted)
 
     def supply_demand_gap(self, gid: int) -> int:
-        """Courier supply minus order demand at one grid.
+        """Courier supply minus order demand at one grid: gap_field()[gid]."""
+        return int(self.gap_field()[gid])
+
+    def gap_field(self) -> np.ndarray:
+        """Courier supply minus order demand at every grid, indexed by grid id.
 
         Myopic mode looks at the current minute: idle couriers now on the grid
         minus pending unassigned orders from it.  Strategic mode anticipates:
@@ -234,26 +279,9 @@ class SimState:
         15-minute order count (rounded half-up).
         """
         if self.mode == MODE_MYOPIC:
-            supply = sum(1 for c in self.couriers if c.status == IDLE and c.grid == gid)
-            demand = int(sum(1 for oid in self.pending if self.orders[oid].restaurant == gid))
-            return supply - demand
-        supply = 0
-        for c in self.couriers:
-            g, dt = self.courier_eta_idle(c.id)
-            if g == gid and dt <= ANTICIPATION_MIN:
-                supply += 1
-        return supply - int(self.rounded_demand[gid])
-
-    def gap_field(self) -> np.ndarray:
-        """supply_demand_gap of every grid, indexed by grid id."""
-        n = len(self.region)
-        if self.mode == MODE_MYOPIC:
-            return (self.idle_counts() - self.pending_counts()).astype(np.int64)
-        supply = np.zeros(n, dtype=np.int64)
-        for c in self.couriers:
-            g, dt = self.courier_eta_idle(c.id)
-            if dt <= ANTICIPATION_MIN:
-                supply[g] += 1
+            return self.idle_counts() - self.pending_counts()
+        rows = self.courier_rows()
+        supply = np.bincount(rows.grid[rows.eta <= ANTICIPATION_MIN], minlength=len(self.region))
         return supply - self.rounded_demand
 
     # ------------------------------------------------------------ environment ops
@@ -276,6 +304,7 @@ class SimState:
         if c.status == IDLE:
             c.idle_since = None
             self._start_task(c, float(self.clock))
+        self._courier_changed(cid)
         detail = {
             "order": oid,
             "courier": cid,
@@ -311,6 +340,7 @@ class SimState:
         c.idle_since = None
         c.queue.append(Task(REALLOCATE, target=target))
         self._start_task(c, float(self.clock))
+        self._courier_changed(cid)
         self.log(f"courier:{cid}", "realloc", {"courier": cid, "from": origin, "to": target})
 
     def steering_eligible(self, cid: int) -> bool:

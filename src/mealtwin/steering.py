@@ -10,7 +10,7 @@ average balance-score improvement around the origin.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,13 +24,11 @@ NUM_SLOTS = 7  # self plus the six canonical neighbor directions
 STATE_DIM = 2 * NUM_SLOTS
 
 
-def grid_neighborhood(region: ServiceRegion, gid: int) -> List[int]:
-    """The grid itself plus its in-region neighbors (7 interior, fewer at edges)."""
-    return [gid] + [nid for nid in region.neighbor_ids(gid) if nid is not None]
-
-
-def score_from_field(region: ServiceRegion, field: np.ndarray, gid: int) -> float:
-    return float(sum(field[g] for g in grid_neighborhood(region, gid)))
+def score_from_field(region: ServiceRegion, field: Sequence[float], gid: int) -> float:
+    """Balance score of a grid: the sum of gaps over its neighborhood, in
+    neighborhood order.  `field` may be an array or, cheaper to index, the
+    same values as a list."""
+    return float(sum(field[g] for g in region.neighborhoods[gid]))
 
 
 def encode_from_field(
@@ -41,14 +39,15 @@ def encode_from_field(
     s = np.zeros(STATE_DIM, dtype=np.float64)
     mask = np.zeros(NUM_SLOTS, dtype=bool)
     mask[STAY] = True
-    s[0] = field[center]
-    s[1] = score_from_field(sim.region, field, center)
+    values = field.tolist()
+    s[0] = values[center]
+    s[1] = score_from_field(sim.region, values, center)
     for slot, nid in enumerate(sim.region.neighbor_ids(center), start=1):
         if nid is None:
             continue
         mask[slot] = True
-        s[2 * slot] = field[nid]
-        s[2 * slot + 1] = score_from_field(sim.region, field, nid)
+        s[2 * slot] = values[nid]
+        s[2 * slot + 1] = score_from_field(sim.region, values, nid)
     return s, mask
 
 
@@ -79,9 +78,10 @@ def reward_reallocate(sim: SimState, origin: int, target: Optional[int]) -> floa
     shifted = field.copy()
     shifted[origin] -= 1.0
     shifted[target] += 1.0
-    around = grid_neighborhood(region, origin)
+    around = region.neighborhoods[origin]
+    before, after = field.tolist(), shifted.tolist()
     improvement = sum(
-        score_from_field(region, shifted, g) - score_from_field(region, field, g)
+        score_from_field(region, after, g) - score_from_field(region, before, g)
         for g in around
     )
     return float(field[origin] - field[target] + improvement / len(around))

@@ -4,13 +4,14 @@ None of this runs in a training or evaluation: toy MDPs with a tabular
 Q-learning oracle and a full DDQN loop over them, the finite-difference
 gradient of the TD loss, lag features built straight from transaction
 records, the forecaster's per-node split search with a fresh sort per
-feature, and the scalar walk of its trees.  Tests import it as
-``from oracles import ...``.
+feature, the scalar walk of its trees, the hex distance formula, and a
+fleet projection, gap field and dispatch encoding recomputed from the
+couriers at each call.  Tests import it as ``from oracles import ...``.
 """
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from mealtwin.rlcore import (
     select_action,
     sync_target,
 )
+from mealtwin.hexgrid import HexCoord, ServiceRegion
 from mealtwin.scenario import DEFAULT_SHIFT_WEEKDAY, ScenarioConfig, TransactionRecord
+from mealtwin.simcore import ANTICIPATION_MIN, IDLE, MODE_MYOPIC, SimState
 
 # ---------------------------------------------------------------- gradients
 
@@ -400,3 +403,68 @@ def grid_forecasts(
             x = np.array([DEFAULT_SHIFT_WEEKDAY, config.hour_at(minute), *lags], dtype=np.float64)
             out[gid] = ensemble_predict(models[gid], x)
     return out
+
+
+# ------------------------------------------------------------ fleet geometry
+
+
+def hex_distance(a: HexCoord, b: HexCoord) -> int:
+    """Lattice distance: (|dq| + |dr| + |dq+dr|) / 2."""
+    dq = a.q - b.q
+    dr = a.r - b.r
+    return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
+
+
+def grid_neighborhood(region: ServiceRegion, gid: int) -> List[int]:
+    """The grid itself plus its in-region neighbors, from the slot table."""
+    return [gid] + [nid for nid in region.neighbor_ids(gid) if nid is not None]
+
+
+def fresh_rows(sim: SimState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(idle grid, minutes until idle, delivery tasks) of every courier,
+    projected afresh from its queue."""
+    grid, eta, tasks = [], [], []
+    for c in sim.couriers:
+        g, t = sim._project(c, use_estimate=True)
+        grid.append(g)
+        eta.append(t - float(sim.clock))
+        tasks.append(c.delivery_task_count())
+    return (
+        np.array(grid, dtype=np.int64),
+        np.array(eta, dtype=np.float64),
+        np.array(tasks, dtype=np.int64),
+    )
+
+
+def fresh_gap_field(sim: SimState) -> np.ndarray:
+    """The supply-demand gap of every grid, counted courier by courier."""
+    n = len(sim.region)
+    supply = np.zeros(n, dtype=np.int64)
+    if sim.mode == MODE_MYOPIC:
+        for c in sim.couriers:
+            if c.status == IDLE:
+                supply[c.grid] += 1
+        for oid in sim.pending:
+            supply[sim.orders[oid].restaurant] -= 1
+        return supply
+    for c in sim.couriers:
+        g, t = sim._project(c, use_estimate=True)
+        if t - float(sim.clock) <= ANTICIPATION_MIN:
+            supply[g] += 1
+    return supply - sim.rounded_demand
+
+
+def fresh_dispatch_state(sim: SimState, oid: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The dispatch state and mask of one pending order, courier by courier."""
+    o = sim.orders[oid]
+    field = fresh_gap_field(sim)
+    grid, eta, tasks = fresh_rows(sim)
+    s = np.zeros(1 + 3 * len(sim.couriers), dtype=np.float64)
+    s[0] = o.est_ready - sim.clock
+    for cid in range(len(sim.couriers)):
+        g = int(grid[cid])
+        s[1 + 3 * cid] = eta[cid]
+        s[2 + 3 * cid] = hex_distance(sim.region.grids[g], sim.region.grids[o.restaurant])
+        s[3 + 3 * cid] = field[g]
+    mask = np.append(tasks < sim.config.max_delivery_tasks, True)
+    return s, mask

@@ -33,7 +33,7 @@ from mealtwin.forecast import (
     persistence_eval,
     train_demand_models,
 )
-from mealtwin.hexgrid import AXIAL_DIRECTIONS, HexCoord, default_region, hex_distance
+from mealtwin.hexgrid import AXIAL_DIRECTIONS, HexCoord, ServiceRegion, default_region
 from mealtwin.rlcore import dispatch_qnet, loss_and_grad, steering_qnet
 from mealtwin.scenario import (
     _sample_arrivals,
@@ -46,13 +46,20 @@ from mealtwin.simcore import MODE_MYOPIC, MODE_STRATEGIC, SimState
 from mealtwin.steering import (
     SteerDdqnPolicy,
     apply_steer_decision,
-    grid_neighborhood,
     reward_reallocate,
     slot_target,
 )
 from mealtwin.trainer import TrainingPlan, sandwich_train
 
-from oracles import bandit_mdp, ddqn_toy_train, finite_difference_grad, tabular_q_learning
+from oracles import (
+    bandit_mdp,
+    ddqn_toy_train,
+    finite_difference_grad,
+    fresh_gap_field,
+    grid_neighborhood,
+    hex_distance,
+    tabular_q_learning,
+)
 
 RELEASE_PLAN = (200, 150, 100)
 CI_PLAN = (50, 30, 20)
@@ -102,6 +109,8 @@ def test_hex_metric_laws():
         if hex_distance(origin, HexCoord(q, r)) <= 6
     ]
     cells = set(disk)
+    disk_region = ServiceRegion(tuple(disk), (False,) * len(disk))
+    index = {coord: gid for gid, coord in enumerate(disk)}
     pairs = 0
     for src in disk:
         dist = {src: 0}
@@ -117,7 +126,7 @@ def test_hex_metric_laws():
             # Every geodesic moves each cube coordinate monotonically, so it
             # stays inside the coordinate box of its endpoints and the disk
             # never truncates a shortest path: graph distance is exact.
-            assert dist[dst] == hex_distance(src, dst)
+            assert dist[dst] == disk_region.distance(index[src], index[dst])
             pairs += 1
     elapsed = time.perf_counter() - started
     gate(
@@ -178,7 +187,7 @@ def test_reward_oracles():
                 continue
             got, audit = reward_assign(sim, oid, c.id, params)
             g_future, d, arrival = sim.projected_arrival(c.id, order.restaurant)
-            sd = float(sim.supply_demand_gap(g_future))
+            sd = float(fresh_gap_field(sim)[g_future])
             gap = arrival - order.ready_time
             expect = (
                 100.0
@@ -205,7 +214,7 @@ def test_reward_oracles():
 
     def auditing_steer(sim, cid):
         origin = sim.couriers[cid].grid
-        field = sim.gap_field().astype(np.float64)
+        field = fresh_gap_field(sim).astype(np.float64)
         valid = [0]
         for slot in range(1, 7):
             if sim.region.neighbor_ids(origin)[slot - 1] is None:

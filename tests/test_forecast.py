@@ -457,6 +457,12 @@ def _corrupt(tree: dict, case: str) -> None:
         del tree["value"]
     elif case == "text threshold":
         tree["threshold"][0] = "high"
+    elif case == "fractional feature":
+        tree["feature"][0] = tree["feature"][0] + 0.7
+    elif case == "boolean left":
+        tree["left"][0] = True
+    elif case == "text right":
+        tree["right"][0] = str(tree["right"][0])
     else:
         raise KeyError(case)
 
@@ -476,6 +482,9 @@ def _corrupt(tree: dict, case: str) -> None:
         "inf value",
         "missing value list",
         "text threshold",
+        "fractional feature",
+        "boolean left",
+        "text right",
     ],
 )
 def test_corrupt_model_file_refused_at_load(tmp_path, case):
@@ -492,6 +501,7 @@ def test_corrupt_model_file_refused_at_load(tmp_path, case):
     "key, value",
     [
         ("params.min_leaf", 0),
+        ("params.rounds", 2.5),
         ("params.shrinkage", math.nan),
         ("base_score", math.inf),
         ("shrinkage", math.nan),

@@ -12,9 +12,10 @@ from mealtwin.hexgrid import (
     MINUTES_PER_UNIT,
     ServiceRegion,
     default_region,
-    hex_distance,
     offset_rect_region,
 )
+
+from oracles import hex_distance
 
 coords = st.builds(
     HexCoord, st.integers(min_value=-20, max_value=20), st.integers(min_value=-20, max_value=20)
@@ -113,6 +114,18 @@ def test_region_distance_and_path():
     region = default_region()
     assert region.distance(7, 7) == 0
     assert region.distance(0, 4) == 4
+
+
+def test_distance_matrix_matches_formula():
+    for region in (default_region(), offset_rect_region(10, 7, ())):
+        matrix = region.distances
+        assert matrix.shape == (len(region), len(region))
+        assert not matrix.flags.writeable
+        for a, ca in enumerate(region.grids):
+            for b, cb in enumerate(region.grids):
+                assert matrix[a, b] == hex_distance(ca, cb)
+    # A plain int, so that event details holding it stay JSON-serialisable.
+    assert type(default_region().distance(0, 24)) is int
 
 
 def test_region_rejects_bad_ids():

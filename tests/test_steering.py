@@ -25,11 +25,12 @@ from mealtwin.steering import (
     apply_steer_decision,
     encode_from_field,
     encode_steer_state,
-    grid_neighborhood,
     reward_reallocate,
     score_from_field,
     slot_target,
 )
+
+from oracles import grid_neighborhood
 
 
 def quiet_config(fleet: int = 3) -> ScenarioConfig:
@@ -75,15 +76,18 @@ def test_constants():
 
 def test_grid_neighborhood_sizes():
     region = default_region()
-    inner = grid_neighborhood(region, 12)
+    inner = region.neighborhoods[12]
     assert inner[0] == 12 and len(inner) == 7 and len(set(inner)) == 7
     assert set(inner[1:]) == {n for n in region.neighbor_ids(12) if n is not None}
-    corner = grid_neighborhood(region, 0)
+    corner = region.neighborhoods[0]
     assert corner[0] == 0 and len(corner) < 7
     # Adjacency is symmetric, so membership must be too.
     for g in range(25):
-        for n in grid_neighborhood(region, g)[1:]:
-            assert g in grid_neighborhood(region, n)
+        for n in region.neighborhoods[g][1:]:
+            assert g in region.neighborhoods[n]
+    # The held neighborhoods keep the slot order that score sums run in.
+    for g in range(25):
+        assert list(region.neighborhoods[g]) == grid_neighborhood(region, g)
 
 
 def test_scores_sum_the_field():
