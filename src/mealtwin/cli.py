@@ -376,7 +376,8 @@ def _evaluate_shift(study: _Study, task: Tuple[str, int]) -> Tuple[RunMetrics, L
 
 
 def _metrics_from_dict(doc: dict) -> RunMetrics:
-    doc = dict(doc)
+    """A run as `save_comparison` wrote it; null stands for NaN."""
+    doc = {k: float("nan") if v is None else v for k, v in doc.items()}
     for key in (
         "courier_delivery_minutes",
         "courier_idle_minutes",

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ContractError
-from .rlcore import QNet, Transition, select_action
+from .rlcore import QNet, select_action
 from .simcore import IDLE, SimState
 
 # Weights of the reward components: late arrival per minute, early arrival
@@ -74,12 +74,17 @@ def reward_assign(
     cid: int,
     params: DispatchRewardParams = DispatchRewardParams(),
     sd_gap: Optional[float] = None,
+    projection: Optional[Tuple[int, int, float]] = None,
 ) -> Tuple[float, dict]:
     """Reward for assigning the order to the courier, computed at decision
     time from the courier's projected arrival and the order's actual ready
-    time (which the environment knows but the state does not expose)."""
+    time (which the environment knows but the state does not expose).
+    `projection` is the courier's `projected_arrival` for the order's
+    restaurant, when the caller has computed it."""
     o = sim.orders[oid]
-    g_future, d, arrival = sim.projected_arrival(cid, o.restaurant)
+    if projection is None:
+        projection = sim.projected_arrival(cid, o.restaurant)
+    g_future, d, arrival = projection
     if sd_gap is None:
         sd_gap = float(sim.supply_demand_gap(g_future))
     gap = arrival - o.ready_time
@@ -119,8 +124,9 @@ def apply_dispatch_decision(
         reward, removed = reward_postpone(sim, oid, params)
         sim.apply_postpone(oid, removed)
         return reward, removed
-    reward, audit = reward_assign(sim, oid, action, params, sd_gap)
-    sim.apply_dispatch(oid, action, audit=audit)
+    projection = sim.projected_arrival(action, sim.orders[oid].restaurant)
+    reward, audit = reward_assign(sim, oid, action, params, sd_gap, projection)
+    sim.apply_dispatch(oid, action, audit=audit, projection=projection)
     return reward, False
 
 
@@ -199,8 +205,9 @@ class ConvDdqnPolicy:
     """Dispatching from a value network.
 
     Without a learner the policy is greedy.  With one it explores with the
-    learner's current epsilon and hands each decision's transition, and the
-    raw reward, to `learner.record`: this is how the network is trained.
+    learner's current epsilon and hands each decision's transition, its
+    reward scaled by `REWARD_SCALE`, and the raw reward to `learner.record`:
+    this is how the network is trained.
     """
 
     def __init__(
@@ -229,7 +236,7 @@ class ConvDdqnPolicy:
         reward, removed = apply_dispatch_decision(sim, oid, action, self.params, sd_gap=sd)
         if self.learner is not None:
             s2, mask2, done = dispatch_next_state(sim, s, action, removed, remaining)
-            self.learner.record(make_transition(s, action, reward, s2, mask2, done), reward)
+            self.learner.record(s, action, reward * REWARD_SCALE, s2, done, mask2, reward)
         if self.trace is not None:
             self.trace.append(
                 {
@@ -240,21 +247,3 @@ class ConvDdqnPolicy:
                     "q_max": float(np.where(mask, q, -np.inf).max()),
                 }
             )
-
-
-def make_transition(
-    s: np.ndarray,
-    action: int,
-    raw_reward: float,
-    s2: np.ndarray,
-    mask2: np.ndarray,
-    done: bool,
-) -> Transition:
-    return Transition(
-        s=s,
-        a=action,
-        r=raw_reward * REWARD_SCALE,
-        s2=s2,
-        done=done,
-        mask2=mask2,
-    )

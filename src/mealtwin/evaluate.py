@@ -365,9 +365,23 @@ def comparison_to_dict(report: ComparisonReport) -> dict:
     }
 
 
+def _nan_to_null(value):
+    """The value with every NaN float, however deeply nested, as None."""
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nan_to_null(v) for v in value]
+    return value
+
+
 def save_comparison(path: Path, report: ComparisonReport) -> None:
+    """Strict JSON: an undefined statistic (NaN) is written as null."""
     with open(path, "w") as fh:
-        json.dump(comparison_to_dict(report), fh, sort_keys=True, indent=1)
+        json.dump(
+            _nan_to_null(comparison_to_dict(report)), fh, sort_keys=True, indent=1, allow_nan=False
+        )
         fh.write("\n")
 
 

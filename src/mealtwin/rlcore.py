@@ -5,6 +5,10 @@ courier-embedding layer: a single weight triple applied window-3/stride-3
 without bias across the courier section of the input, producing one scalar
 embedding per courier.  Forward, backward, Adam, replay and the double-network
 TD update are all implemented here; no autograd framework is involved.
+
+Replay is a ring of preallocated arrays, one per transition field: a push
+writes one row, and a sample gathers every field at one draw of row indices
+into a `Batch`, the only transition record type.
 """
 
 from __future__ import annotations
@@ -200,16 +204,6 @@ class Adam:
 
 
 @dataclass
-class Transition:
-    s: np.ndarray
-    a: int
-    r: float
-    s2: np.ndarray
-    done: bool
-    mask2: np.ndarray
-
-
-@dataclass
 class Batch:
     s: np.ndarray
     a: np.ndarray
@@ -220,35 +214,48 @@ class Batch:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring; sampling is uniform with replacement."""
+    """Fixed-capacity FIFO ring with one preallocated array per transition
+    field; sampling is uniform with replacement."""
 
-    def __init__(self, capacity: int = REPLAY_CAPACITY):
+    def __init__(self, capacity: int, state_dim: int, num_actions: int):
         self.capacity = capacity
-        self._data: List[Transition] = []
+        self.s = np.zeros((capacity, state_dim), dtype=np.float64)
+        self.a = np.zeros(capacity, dtype=np.int64)
+        self.r = np.zeros(capacity, dtype=np.float64)
+        self.s2 = np.zeros((capacity, state_dim), dtype=np.float64)
+        self.done = np.zeros(capacity, dtype=bool)
+        self.mask2 = np.zeros((capacity, num_actions), dtype=bool)
+        self._size = 0
         self._next = 0
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._size
 
-    def push(self, tr: Transition) -> None:
-        if len(self._data) < self.capacity:
-            self._data.append(tr)
-        else:
-            self._data[self._next] = tr
-        self._next = (self._next + 1) % self.capacity
+    def push(
+        self, s: np.ndarray, a: int, r: float, s2: np.ndarray, done: bool, mask2: np.ndarray
+    ) -> None:
+        """Write one transition over the oldest row once the ring is full."""
+        i = self._next
+        self.s[i] = s
+        self.a[i] = a
+        self.r[i] = r
+        self.s2[i] = s2
+        self.done[i] = done
+        self.mask2[i] = mask2
+        self._next = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
-        if len(self._data) == 0:
+        if self._size == 0:
             raise ContractError("cannot sample from an empty replay buffer")
-        idx = rng.integers(0, len(self._data), size=batch_size)
-        rows = [self._data[int(i)] for i in idx]
+        idx = rng.integers(0, self._size, size=batch_size)
         return Batch(
-            s=np.stack([t.s for t in rows]),
-            a=np.array([t.a for t in rows], dtype=np.int64),
-            r=np.array([t.r for t in rows], dtype=np.float64),
-            s2=np.stack([t.s2 for t in rows]),
-            done=np.array([t.done for t in rows], dtype=bool),
-            mask2=np.stack([t.mask2 for t in rows]),
+            s=self.s[idx],
+            a=self.a[idx],
+            r=self.r[idx],
+            s2=self.s2[idx],
+            done=self.done[idx],
+            mask2=self.mask2[idx],
         )
 
 

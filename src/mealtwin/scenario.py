@@ -97,6 +97,13 @@ class ScenarioConfig:
             raise ConfigError("fleet_size must be >= 1")
         if self.shift_minutes < 1:
             raise ConfigError("shift_minutes must be >= 1")
+        if not 0 <= self.shift_start_hour <= 23:
+            raise ConfigError(f"shift start hour {self.shift_start_hour} is not in 0..23")
+        if self.hour_at(self.shift_minutes - 1) > 23:
+            raise ConfigError(
+                f"a {self.shift_minutes}-minute shift from hour {self.shift_start_hour} "
+                "runs past midnight"
+            )
         for gid, by_hour in self.hourly_rates.items():
             if gid not in range(len(self.region)):
                 raise ConfigError(f"rate table references unknown grid {gid}")

@@ -286,15 +286,25 @@ class SimState:
 
     # ------------------------------------------------------------ environment ops
 
-    def apply_dispatch(self, oid: int, cid: int, audit: Optional[dict] = None) -> None:
-        """Append a delivery task for the order to the courier's queue."""
+    def apply_dispatch(
+        self,
+        oid: int,
+        cid: int,
+        audit: Optional[dict] = None,
+        projection: Optional[Tuple[int, int, float]] = None,
+    ) -> None:
+        """Append a delivery task for the order to the courier's queue.
+        `projection` is this courier's `projected_arrival` for the order's
+        restaurant, when the caller has computed it."""
         o = self.orders[oid]
         if o.status != "pending":
             raise ContractError(f"order {oid} is not pending")
         c = self.couriers[cid]
         if c.delivery_task_count() >= self.config.max_delivery_tasks:
             raise ContractError(f"courier {cid} already holds the delivery task cap")
-        start_grid, d, arrival = self.projected_arrival(cid, o.restaurant)
+        if projection is None:
+            projection = self.projected_arrival(cid, o.restaurant)
+        _, d, arrival = projection
         o.status = "assigned"
         o.assigned_courier = cid
         o.courier_arrival = arrival

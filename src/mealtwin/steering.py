@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError
 from .hexgrid import ServiceRegion
-from .rlcore import QNet, Transition, select_action
+from .rlcore import QNet, select_action
 from .simcore import SimState
 
 STAY = 0
@@ -124,9 +124,7 @@ class SteerDdqnPolicy:
         if self.learner is not None:
             s2, mask2 = encode_from_field(sim, sim.gap_field(), dest)
             done = sim.clock == sim.config.shift_minutes - 1
-            self.learner.record(
-                Transition(s=s, a=action, r=reward, s2=s2, done=done, mask2=mask2), reward
-            )
+            self.learner.record(s, action, reward, s2, done, mask2, reward)
         if self.trace is not None:
             self.trace.append(
                 {

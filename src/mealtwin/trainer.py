@@ -39,7 +39,6 @@ from .rlcore import (
     Adam,
     QNet,
     ReplayBuffer,
-    Transition,
     dispatch_qnet,
     epsilon_schedule,
     learn,
@@ -97,9 +96,9 @@ class PhaseReport:
     name: str
     trains: str
     planned: int
-    executed: int
-    converged: Optional[bool]
-    aborted: Optional[str]
+    executed: int = 0
+    converged: Optional[bool] = None
+    aborted: Optional[str] = None
     episodes: List[EpisodeRecord] = field(default_factory=list)
 
     @property
@@ -138,7 +137,7 @@ class _Learner:
     def __init__(self, net: QNet, plan: TrainingPlan, phase_index: int, epsilon_start: float):
         self.net = net
         self.target = net.clone()
-        self.buffer = ReplayBuffer(plan.capacity)
+        self.buffer = ReplayBuffer(plan.capacity, net.spec.input_dim, net.num_actions)
         self.adam = Adam(net.params.size, lr=plan.learning_rate)
         self.rng = make_rng(plan.seed, 91, phase_index)
         self.epsilon_start = epsilon_start
@@ -152,10 +151,20 @@ class _Learner:
     def epsilon(self) -> float:
         return epsilon_schedule(self.learn_updates, start=self.epsilon_start)
 
-    def record(self, transition: Transition, raw_reward: float) -> None:
-        """Store one decision of the training policy and count it toward the
-        target sync and the episode's raw-reward return."""
-        self.buffer.push(transition)
+    def record(
+        self,
+        s: np.ndarray,
+        a: int,
+        r: float,
+        s2: np.ndarray,
+        done: bool,
+        mask2: np.ndarray,
+        raw_reward: float,
+    ) -> None:
+        """Push one decision of the training policy into replay, with `r` as
+        its buffer reward, and count it toward the target sync and the
+        episode's raw-reward return."""
+        self.buffer.push(s, a, r, s2, done, mask2)
         self.decisions += 1
         maybe_sync_target(self.net, self.target, self.decisions, self.sync_every)
         self.episode_return += raw_reward
@@ -174,22 +183,25 @@ class _Learner:
 
 def _run_phase(
     report: TrainingReport,
-    name: str,
-    trains: str,
-    planned: int,
     plan: TrainingPlan,
     config: ScenarioConfig,
     predictor,
-    learner: _Learner,
-    dispatch_policy: dsp.ConvDdqnPolicy,
-    steer_policy: Optional[steer.SteerDdqnPolicy],
     phase_index: int,
+    trains: str,
+    epsilon_start: float,
     dispatch_net: QNet,
     steering_net: QNet,
-) -> PhaseReport:
-    phase = PhaseReport(
-        name=name, trains=trains, planned=planned, executed=0, converged=None, aborted=None
-    )
+) -> None:
+    """Train the `trains` network with a fresh learner while the other one
+    decides greedily; the first phase runs without steering."""
+    planned = plan.episodes[phase_index]
+    steers = trains == PHASE_STEERING
+    learner = _Learner(steering_net if steers else dispatch_net, plan, phase_index, epsilon_start)
+    dispatch_policy = dsp.ConvDdqnPolicy(dispatch_net, learner=None if steers else learner)
+    steer_policy = None
+    if phase_index > 0:
+        steer_policy = steer.SteerDdqnPolicy(steering_net, learner if steers else None)
+    phase = PhaseReport(name=f"phase{phase_index + 1}", trains=trains, planned=planned)
     report.phases.append(phase)
     window = plan.convergence_window
     budget = planned
@@ -231,7 +243,6 @@ def _run_phase(
             if not phase.converged and budget < 2 * planned:
                 budget = min(budget + plan.extension_block, 2 * planned)
     phase.executed = episode
-    return phase
 
 
 def sandwich_train(
@@ -251,61 +262,23 @@ def sandwich_train(
         output_activation=plan.output_activation, rng=make_rng(plan.seed, 8)
     )
     report = TrainingReport(mode=plan.mode, seed=plan.seed, planned_episodes=plan.episodes)
-    reward_params = dsp.DispatchRewardParams()
-
-    learner1 = _Learner(dispatch_net, plan, 0, plan.epsilon_start)
-    _run_phase(
-        report,
-        "phase1",
-        PHASE_DISPATCH,
-        plan.episodes[0],
-        plan,
-        config,
-        predictor,
-        learner1,
-        dsp.ConvDdqnPolicy(dispatch_net, reward_params, learner1),
-        None,
-        0,
-        dispatch_net,
-        steering_net,
+    schedule = (
+        (PHASE_DISPATCH, plan.epsilon_start),
+        (PHASE_STEERING, plan.epsilon_start),
+        (PHASE_DISPATCH, plan.epsilon_start * plan.phase3_epsilon_scale),
     )
-
-    learner2 = _Learner(steering_net, plan, 1, plan.epsilon_start)
-    _run_phase(
-        report,
-        "phase2",
-        PHASE_STEERING,
-        plan.episodes[1],
-        plan,
-        config,
-        predictor,
-        learner2,
-        dsp.ConvDdqnPolicy(dispatch_net, reward_params),
-        steer.SteerDdqnPolicy(steering_net, learner2),
-        1,
-        dispatch_net,
-        steering_net,
-    )
-
-    learner3 = _Learner(
-        dispatch_net, plan, 2, plan.epsilon_start * plan.phase3_epsilon_scale
-    )
-    _run_phase(
-        report,
-        "phase3",
-        PHASE_DISPATCH,
-        plan.episodes[2],
-        plan,
-        config,
-        predictor,
-        learner3,
-        dsp.ConvDdqnPolicy(dispatch_net, reward_params, learner3),
-        steer.SteerDdqnPolicy(steering_net),
-        2,
-        dispatch_net,
-        steering_net,
-    )
-
+    for phase_index, (trains, epsilon_start) in enumerate(schedule):
+        _run_phase(
+            report,
+            plan,
+            config,
+            predictor,
+            phase_index,
+            trains,
+            epsilon_start,
+            dispatch_net,
+            steering_net,
+        )
     report.wall_clock_s = time.perf_counter() - started
     return dispatch_net, steering_net, report
 

@@ -1,12 +1,13 @@
 """Reference implementations that the tests check the library against.
 
 None of this runs in a training or evaluation: toy MDPs with a tabular
-Q-learning oracle and a full DDQN loop over them, the finite-difference
-gradient of the TD loss, lag features built straight from transaction
-records, the forecaster's per-node split search with a fresh sort per
-feature, the scalar walk of its trees, the hex distance formula, and a
-fleet projection, gap field and dispatch encoding recomputed from the
-couriers at each call.  Tests import it as ``from oracles import ...``.
+Q-learning oracle and a full DDQN loop over them, the replay ring as a list
+of per-transition records, the finite-difference gradient of the TD loss,
+lag features built straight from transaction records, the forecaster's
+per-node split search with a fresh sort per feature, the scalar walk of its
+trees, the hex distance formula, and a fleet projection, gap field and
+dispatch encoding recomputed from the couriers at each call.  Tests import
+it as ``from oracles import ...``.
 """
 
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ from mealtwin.rlcore import (
     Adam,
     NetSpec,
     QNet,
+    Batch,
     ReplayBuffer,
-    Transition,
     epsilon_schedule,
     learn,
     select_action,
@@ -183,6 +184,42 @@ def tabular_q_learning(
     return q
 
 
+class ListReplayBuffer:
+    """The replay ring as a list of per-transition tuples, re-stacked into a
+    Batch at every sample; same constructor, push and draw as the library's
+    array ring, whose samples must equal these."""
+
+    def __init__(self, capacity: int, state_dim: int = 0, num_actions: int = 0):
+        self.capacity = capacity
+        self._data: List[tuple] = []
+        self._next = 0
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def push(self, s, a, r, s2, done, mask2) -> None:
+        row = (s, a, r, s2, done, mask2)
+        if len(self._data) < self.capacity:
+            self._data.append(row)
+        else:
+            self._data[self._next] = row
+        self._next = (self._next + 1) % self.capacity
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
+        if len(self._data) == 0:
+            raise ContractError("cannot sample from an empty replay buffer")
+        idx = rng.integers(0, len(self._data), size=batch_size)
+        rows = [self._data[int(i)] for i in idx]
+        return Batch(
+            s=np.stack([t[0] for t in rows]),
+            a=np.array([t[1] for t in rows], dtype=np.int64),
+            r=np.array([t[2] for t in rows], dtype=np.float64),
+            s2=np.stack([t[3] for t in rows]),
+            done=np.array([t[4] for t in rows], dtype=bool),
+            mask2=np.stack([t[5] for t in rows]),
+        )
+
+
 def ddqn_toy_train(
     mdp: ToyMDP,
     rng: np.random.Generator,
@@ -203,7 +240,7 @@ def ddqn_toy_train(
     value = QNet(spec, rng)
     target = value.clone()
     adam = Adam(value.params.size)
-    buffer = ReplayBuffer(capacity)
+    buffer = ReplayBuffer(capacity, mdp.n_states, mdp.n_actions)
     mask = np.ones(mdp.n_actions, dtype=bool)
     learn_count = 0
     onehot = np.eye(mdp.n_states, dtype=np.float64)
@@ -213,7 +250,7 @@ def ddqn_toy_train(
             eps = epsilon_schedule(learn_count)
             a = select_action(value.forward(onehot[s]), mask, eps, rng)
             s2, r, done = mdp.step(s, a, rng)
-            buffer.push(Transition(onehot[s], a, r, onehot[s2], done, mask.copy()))
+            buffer.push(onehot[s], a, r, onehot[s2], done, mask)
             if len(buffer) >= batch_size:
                 learn(value, target, buffer.sample(batch_size, rng), adam, gamma)
                 learn_count += 1

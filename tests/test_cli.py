@@ -252,6 +252,27 @@ def test_weight_fleet_mismatch(workspace, tmp_path, capsys):
     assert "fleet" in capsys.readouterr().err
 
 
+def test_shift_past_midnight_exits_2(tmp_path, capsys):
+    out = tmp_path / "late.json"
+    small = ["--cols", "3", "--rows", "3", "--restaurant-ids", "4"]
+    late = ["--start-hour", "23", "--shift-minutes", "120"]
+    assert main(["gen-scenario", "--out", str(out), *small, *late]) == 2
+    assert not out.exists()
+    assert main(["gen-scenario", "--out", str(out), *small, "--start-hour", "24"]) == 2
+    # A file written before the check, with a rate for hour 24, fails at load.
+    assert main(["gen-scenario", "--out", str(out), *small, "--start-hour", "22"]) == 0
+    doc = json.loads(out.read_text())
+    doc["shift_start_hour"] = 23
+    doc["hourly_rates"]["4"] = {"23": 8.4, "24": 8.4}
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    history = ["--weeks", "1", "--out", str(tmp_path / "h.csv")]
+    code = main(["synth-history", "--scenario", str(out), *history])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "runs past midnight" in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def evaluated(workspace):
     outdir = workspace / "eval"
@@ -385,6 +406,51 @@ def test_report_recomputes_identical_tables(evaluated, tmp_path, capsys):
     assert "nearest_idle" in out and "gap avg" in out
     assert metrics_csv.read_bytes() == (evaluated / "metrics.csv").read_bytes()
     assert pvalues_csv.read_bytes() == (evaluated / "pvalues_time_gap.csv").read_bytes()
+
+
+def test_zero_demand_study_writes_strict_json(tmp_path, capsys):
+    """Without deliveries the gap statistics are undefined: comparison.json
+    holds them as null, parses under a strict parser, and `report`
+    re-renders it."""
+    scenario = tmp_path / "quiet.json"
+    quiet = ["--cols", "3", "--rows", "3", "--restaurant-ids", "4", "--fleet", "2"]
+    assert main(["gen-scenario", "--out", str(scenario), *quiet, "--rate", "0"]) == 0
+    outdir = tmp_path / "eval"
+    code = main(
+        [
+            "evaluate",
+            "--scenario",
+            str(scenario),
+            "--shifts",
+            "2",
+            "--variants",
+            "nearest_idle",
+            "--outdir",
+            str(outdir),
+        ]
+    )
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (outdir / "comparison.json").read_text()
+    doc = json.loads(text, parse_constant=refuse)
+    assert [r["gap_mean"] for r in doc["runs"]["nearest_idle"]] == [None, None]
+    assert doc["aggregates"]["nearest_idle"]["time_gap_mean"]["avg"] is None
+    capsys.readouterr()
+    code = main(
+        [
+            "report",
+            "--comparison",
+            str(outdir / "comparison.json"),
+            "--metrics-csv",
+            str(tmp_path / "metrics.csv"),
+        ]
+    )
+    assert code == 0
+    assert "nearest_idle" in capsys.readouterr().out
+    assert (tmp_path / "metrics.csv").read_bytes() == (outdir / "metrics.csv").read_bytes()
 
 
 def test_report_rejects_bad_files(tmp_path, capsys):

@@ -23,7 +23,6 @@ from mealtwin.dispatch import (
     apply_dispatch_decision,
     dispatch_next_state,
     encode_dispatch_state,
-    make_transition,
     reward_assign,
     reward_postpone,
     task_count_mask,
@@ -34,6 +33,7 @@ from mealtwin.hexgrid import default_region
 from mealtwin.rlcore import dispatch_qnet, select_action
 from mealtwin.scenario import Order, ScenarioConfig, make_rng
 from mealtwin.simcore import MODE_MYOPIC, SimState
+from mealtwin.trainer import TrainingPlan, _Learner
 
 
 def quiet_config(fleet: int = 3) -> ScenarioConfig:
@@ -304,9 +304,12 @@ def test_conv_policy_greedy_leaves_policy_stream_untouched():
 def stub_learner(epsilon: float) -> SimpleNamespace:
     """A fixed exploration rate; keeps every recorded (transition, raw reward)."""
     records = []
-    return SimpleNamespace(
-        epsilon=lambda: epsilon, record=lambda *args: records.append(args), records=records
-    )
+
+    def record(s, a, r, s2, done, mask2, raw_reward):
+        t = SimpleNamespace(s=s, a=a, r=r, s2=s2, done=done, mask2=mask2)
+        records.append((t, raw_reward))
+
+    return SimpleNamespace(epsilon=lambda: epsilon, record=record, records=records)
 
 
 def test_conv_policy_learner_records_each_decision(monkeypatch):
@@ -345,11 +348,26 @@ def test_conv_policy_learner_records_each_decision(monkeypatch):
     assert {t.a for t, _ in learner.records} != {3}  # not every order was postponed
 
 
-def test_make_transition_scales_reward():
-    s = np.zeros(4)
-    s2 = np.ones(4)
-    mask2 = np.array([True, False])
-    t = make_transition(s, 1, 92.0, s2, mask2, False)
-    assert t.r == pytest.approx(0.92)
-    assert t.a == 1 and t.done is False
-    np.testing.assert_array_equal(t.mask2, mask2)
+def test_conv_policy_learner_stores_scaled_reward(monkeypatch):
+    """Through the trainer's learner, the replay row holds the raw reward
+    times REWARD_SCALE and the episode return adds up the raw rewards."""
+    raws = []
+
+    def spy(*args, **kwargs):
+        result = apply_dispatch_decision(*args, **kwargs)
+        raws.append(result[0])
+        return result
+
+    monkeypatch.setattr(dispatch, "apply_dispatch_decision", spy)
+    sim = make_sim(grids=(8, 7, 0))
+    for restaurant, household in ((7, 24), (13, 1), (19, 3)):
+        add_order(sim, restaurant, household, est=4.0, actual=5.0)
+    net = dispatch_qnet(3, rng=make_rng(42))
+    learner = _Learner(net, TrainingPlan(), 0, 0.5)
+    policy = ConvDdqnPolicy(net, learner=learner)
+    ranked = sim.pending_orders_ranked()
+    for i, oid in enumerate(ranked):
+        policy(sim, oid, ranked[i + 1 :])
+    assert len(learner.buffer) == len(raws) == 3
+    assert learner.buffer.r[:3].tolist() == [raw * REWARD_SCALE for raw in raws]
+    assert learner.episode_return == sum(raws)

@@ -15,7 +15,6 @@ from mealtwin.rlcore import (
     NetSpec,
     QNet,
     ReplayBuffer,
-    Transition,
     dispatch_qnet,
     epsilon_schedule,
     learn,
@@ -231,18 +230,47 @@ def test_learn_raises_on_nonfinite():
 
 
 def test_replay_buffer_fifo_ring_and_sampling():
-    buf = ReplayBuffer(capacity=3)
+    buf = ReplayBuffer(capacity=3, state_dim=1, num_actions=2)
     mask = np.ones(2, dtype=bool)
     for i in range(5):
-        buf.push(Transition(np.array([float(i)]), 0, float(i), np.array([0.0]), True, mask))
+        buf.push(np.array([float(i)]), 0, float(i), np.array([0.0]), True, mask)
     assert len(buf) == 3
-    kept = sorted(t.r for t in buf._data)
+    kept = sorted(buf.r.tolist())
     assert kept == [2.0, 3.0, 4.0]  # the two oldest were overwritten in order
     batch = buf.sample(10, make_rng(0))  # with replacement: more than stored
     assert len(batch.r) == 10
     assert set(batch.r.tolist()) <= {2.0, 3.0, 4.0}
     with pytest.raises(ContractError):
-        ReplayBuffer(2).sample(1, make_rng(0))
+        ReplayBuffer(2, 1, 2).sample(1, make_rng(0))
+
+
+def test_replay_buffer_samples_equal_list_ring():
+    """A seeded push/sample sequence through the array ring and the list
+    oracle, past several wrap-arounds, gives equal batches field by field."""
+    state_dim, num_actions = 4, 3
+    ring = ReplayBuffer(7, state_dim, num_actions)
+    ref = oracles.ListReplayBuffer(7, state_dim, num_actions)
+    data = make_rng(23)
+    rng_ring, rng_ref = make_rng(5), make_rng(5)
+    for step in range(40):
+        fields = (
+            data.normal(size=state_dim),
+            int(data.integers(num_actions)),
+            float(data.normal()) * 0.01,
+            data.normal(size=state_dim),
+            bool(data.random() < 0.3),
+            data.random(num_actions) < 0.6,
+        )
+        ring.push(*fields)
+        ref.push(*fields)
+        assert len(ring) == len(ref) == min(step + 1, 7)
+        if step % 3 == 0:
+            got, want = ring.sample(11, rng_ring), ref.sample(11, rng_ref)
+            for name in ("s", "a", "r", "s2", "done", "mask2"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and g.shape == w.shape, name
+                np.testing.assert_array_equal(g, w, err_msg=name)
+    assert rng_ring.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_epsilon_schedule_frozen_points():

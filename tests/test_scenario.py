@@ -88,6 +88,20 @@ def test_config_validation():
     ScenarioConfig(region, {**rates, 8: {19: 0.0}}, without_8, shift_minutes=60)
 
 
+def test_shift_must_stay_within_the_clock_day():
+    region = default_region()
+    rates = {g: {h: 1.0 for h in range(25)} for g in region.restaurant_ids}
+    od = {g: {0: 1.0} for g in region.restaurant_ids}
+    for hour in (-1, 24):
+        with pytest.raises(ConfigError, match="not in 0..23"):
+            ScenarioConfig(region, rates, od, shift_start_hour=hour, shift_minutes=60)
+    with pytest.raises(ConfigError, match="runs past midnight"):
+        ScenarioConfig(region, rates, od, shift_start_hour=23, shift_minutes=61)
+    # The last minute of the day still belongs to hour 23.
+    ScenarioConfig(region, rates, od, shift_start_hour=23, shift_minutes=60)
+    ScenarioConfig(region, rates, od, shift_start_hour=0, shift_minutes=24 * 60)
+
+
 def test_sample_prep_moments():
     config = default_scenario()
     rng = make_rng(123)

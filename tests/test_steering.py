@@ -251,9 +251,12 @@ def test_policy_greedy_and_trace():
 def stub_learner(epsilon: float) -> SimpleNamespace:
     """A fixed exploration rate; keeps every recorded (transition, raw reward)."""
     records = []
-    return SimpleNamespace(
-        epsilon=lambda: epsilon, record=lambda *args: records.append(args), records=records
-    )
+
+    def record(s, a, r, s2, done, mask2, raw_reward):
+        t = SimpleNamespace(s=s, a=a, r=r, s2=s2, done=done, mask2=mask2)
+        records.append((t, raw_reward))
+
+    return SimpleNamespace(epsilon=lambda: epsilon, record=record, records=records)
 
 
 def test_policy_learner_records_each_decision(monkeypatch):

@@ -9,9 +9,13 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from mealtwin import trainer
 from mealtwin.errors import ConfigError, ContractError
+from mealtwin.forecast import OracleDemand
 from mealtwin.rlcore import dispatch_qnet
 from mealtwin.scenario import default_scenario, make_rng
+from mealtwin.simcore import MODE_MYOPIC, MODE_STRATEGIC
 from mealtwin.trainer import (
     PHASE_DISPATCH,
     PHASE_STEERING,
@@ -125,6 +129,29 @@ def test_training_is_reproducible():
     np.testing.assert_array_equal(d1.params, d2.params)
     np.testing.assert_array_equal(s1.params, s2.params)
     assert report_to_dict(r1) == report_to_dict(r2)
+
+
+@pytest.mark.parametrize("mode", [MODE_STRATEGIC, MODE_MYOPIC])
+def test_array_replay_trains_as_list_ring(mode, monkeypatch, tmp_path):
+    """The sandwich gives the same weights and report bytes whether its
+    learners replay from the array ring or from the list-of-records oracle."""
+    plan = TrainingPlan(episodes=(3, 2, 2), seed=4, mode=mode)
+    config = default_scenario(seed=4)
+    predictor = OracleDemand(config) if mode == MODE_STRATEGIC else None
+
+    def train(name):
+        dispatch_net, steering_net, report = sandwich_train(plan, config, predictor)
+        path = tmp_path / f"{name}.json"
+        save_training_report(path, report)
+        assert all(p.episodes[-1].learn_updates > 0 for p in report.phases)
+        return dispatch_net.params, steering_net.params, path.read_bytes()
+
+    arrays = train("arrays")
+    monkeypatch.setattr(trainer, "ReplayBuffer", oracles.ListReplayBuffer)
+    records = train("records")
+    np.testing.assert_array_equal(arrays[0], records[0])
+    np.testing.assert_array_equal(arrays[1], records[1])
+    assert arrays[2] == records[2]
 
 
 def test_forced_extension_and_early_convergence():
