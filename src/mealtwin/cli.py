@@ -39,11 +39,12 @@ from .forecast import (
     save_demand_models,
     train_demand_models,
 )
-from .hexgrid import offset_rect_region
+from .hexgrid import DEFAULT_RESTAURANT_IDS, offset_rect_region
 from .hexmap import render_snapshot
 from .rlcore import ACT_LINEAR, ACT_RELU, QNet, load_qnet, save_qnet
 from .scenario import (
     DEFAULT_FLEET_SIZE,
+    HALF_RATE_GRIDS,
     ScenarioConfig,
     default_scenario,
     load_scenario,
@@ -154,36 +155,38 @@ def _check_dispatch_net(net: QNet, config: ScenarioConfig, path: str) -> None:
 def cmd_gen_scenario(args) -> int:
     if args.cols < 1 or args.rows < 1:
         raise ConfigError("region dimensions must be positive")
-    if args.cols == 5 and args.rows == 5 and args.restaurant_ids is None:
-        config = default_scenario(seed=args.seed, fleet_size=args.fleet)
-    else:
-        if args.restaurant_ids is None:
-            raise ConfigError("custom region dimensions need --restaurant-ids")
+    if args.restaurant_ids is not None:
         restaurant_ids = _parse_int_list(args.restaurant_ids)
-        try:
-            region = offset_rect_region(
-                args.cols, args.rows, restaurant_ids, layout_name=f"{args.cols}x{args.rows}"
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        half = set(_parse_int_list(args.half_rate_grids or ""))
-        hours = sorted({args.start_hour + m // 60 for m in range(args.shift_minutes)})
-        rates = {
-            gid: {h: (args.half_rate if gid in half else args.rate) for h in hours}
-            for gid in restaurant_ids
-        }
-        n = len(region)
-        uniform = {dest: 1.0 / n for dest in range(n)}
-        od = {gid: dict(uniform) for gid in restaurant_ids}
-        config = ScenarioConfig(
-            region=region,
-            hourly_rates=rates,
-            od_probs=od,
-            fleet_size=args.fleet,
-            shift_start_hour=args.start_hour,
-            shift_minutes=args.shift_minutes,
-            seed=args.seed,
+        default_half: Tuple[int, ...] = ()
+    elif args.cols == 5 and args.rows == 5:
+        # The sample region keeps its restaurants and half-rate grids.
+        restaurant_ids, default_half = list(DEFAULT_RESTAURANT_IDS), HALF_RATE_GRIDS
+    else:
+        raise ConfigError("custom region dimensions need --restaurant-ids")
+    try:
+        region = offset_rect_region(
+            args.cols, args.rows, restaurant_ids, layout_name=f"{args.cols}x{args.rows}"
         )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    half = set(default_half if args.half_rate_grids is None else _parse_int_list(args.half_rate_grids))
+    hours = sorted({args.start_hour + m // 60 for m in range(args.shift_minutes)})
+    rates = {
+        gid: {h: (args.half_rate if gid in half else args.rate) for h in hours}
+        for gid in restaurant_ids
+    }
+    n = len(region)
+    uniform = {dest: 1.0 / n for dest in range(n)}
+    od = {gid: dict(uniform) for gid in restaurant_ids}
+    config = ScenarioConfig(
+        region=region,
+        hourly_rates=rates,
+        od_probs=od,
+        fleet_size=args.fleet,
+        shift_start_hour=args.start_hour,
+        shift_minutes=args.shift_minutes,
+        seed=args.seed,
+    )
     save_scenario(Path(args.out), config)
     print(
         f"wrote scenario: {len(config.region)} grids, "

@@ -85,7 +85,7 @@ class ServiceRegion:
     def __len__(self) -> int:
         return len(self.grids)
 
-    # The two tables below are built on first use, once per region, so that
+    # The tables below are built on first use, once per region, so that
     # loading a scenario does not pay for them.
 
     @cached_property
@@ -96,6 +96,45 @@ class ServiceRegion:
             (gid,) + tuple(nid for nid in nids if nid is not None)
             for gid, nids in enumerate(self._neighbor_ids)
         )
+
+    @cached_property
+    def neighborhood_matrix(self) -> np.ndarray:
+        """Read-only int64 matrix with a 1 at [g, h] when h is in g's
+        neighborhood, so row g times an integer field sums the field over
+        that neighborhood exactly.  Adjacency is symmetric, so row g dotted
+        with row h counts the grids the two neighborhoods share."""
+        n = len(self.grids)
+        matrix = np.zeros((n, n), dtype=np.int64)
+        for gid, hood in enumerate(self.neighborhoods):
+            matrix[gid, list(hood)] = 1
+        matrix.flags.writeable = False
+        return matrix
+
+    @cached_property
+    def slot_stencils(self) -> np.ndarray:
+        """Read-only int64 array of shape (grids, 14, grids).  For grid g,
+        rows 2k and 2k+1 belong to slot k (0 is g itself, 1..6 its neighbor
+        slots): row 2k picks the slot's grid and row 2k+1 is that grid's
+        `neighborhood_matrix` row.  Rows of a slot outside the region are
+        zero.  So `slot_stencils[g] @ field` interleaves each slot's value and
+        neighborhood sum of an integer field."""
+        n = len(self.grids)
+        stencils = np.zeros((n, 2 * (1 + len(AXIAL_DIRECTIONS)), n), dtype=np.int64)
+        for gid, nids in enumerate(self._neighbor_ids):
+            for slot, nid in enumerate((gid,) + nids):
+                if nid is not None:
+                    stencils[gid, 2 * slot, nid] = 1
+                    stencils[gid, 2 * slot + 1] = self.neighborhood_matrix[nid]
+        stencils.flags.writeable = False
+        return stencils
+
+    @cached_property
+    def slot_mask(self) -> np.ndarray:
+        """Read-only (grids, 7) bool matrix: slot 0 (the grid itself) and the
+        neighbor slots that fall inside the region."""
+        mask = self.slot_stencils[:, 0::2].any(axis=2)
+        mask.flags.writeable = False
+        return mask
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -109,7 +148,7 @@ class ServiceRegion:
         distances.flags.writeable = False
         return distances
 
-    @property
+    @cached_property
     def restaurant_ids(self) -> Tuple[int, ...]:
         return tuple(g for g, flag in enumerate(self.restaurant_flags) if flag)
 

@@ -88,8 +88,13 @@ class ScenarioConfig:
     idle_threshold_min: float = 5.0
     max_delivery_tasks: int = 2
     seed: int = 0
+    # origin -> (destinations, cumulative probabilities), built at load.
     _od_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # hour -> arrival rows; see arrival_rows.
+    _hour_rows: Dict[int, Tuple[Tuple[int, float, np.ndarray, np.ndarray], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -120,12 +125,13 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"od probabilities for grid {origin} sum to {total}, expected 1"
                 )
-            # Pre-split into aligned destination/probability arrays for sampling.
+            # Pre-split into aligned destination/cumulative-probability arrays
+            # for sampling.
             dests = np.array(sorted(row), dtype=np.int64)
             if len(dests) and (dests[0] < 0 or dests[-1] >= len(self.region)):
                 raise ConfigError(f"od row of grid {origin} references a grid outside the region")
             probs = np.array([row[d] for d in sorted(row)], dtype=np.float64)
-            self._od_cache[origin] = (dests, probs)
+            self._od_cache[origin] = (dests, np.cumsum(probs))
         # Every restaurant grid must be able to sample each minute of the shift.
         hours = range(self.shift_start_hour, self.hour_at(self.shift_minutes - 1) + 1)
         for gid in self.region.restaurant_ids:
@@ -145,6 +151,24 @@ class ScenarioConfig:
         except KeyError:
             raise ConfigError(f"no arrival rate configured for grid {gid} hour {hour}")
 
+    def arrival_rows(self, hour: int) -> Tuple[Tuple[int, float, np.ndarray, np.ndarray], ...]:
+        """(restaurant grid, arrivals per minute, destinations, cumulative
+        probabilities) of every restaurant grid with orders in this hour, in
+        grid order; built on the hour's first use."""
+        rows = self._hour_rows.get(hour)
+        if rows is None:
+            built = []
+            for gid in self.region.restaurant_ids:
+                lam = self.rate_for(gid, hour) / 60.0
+                if not lam > 0:
+                    continue
+                dests, cum = self._od_cache.get(gid, (None, None))
+                if dests is None or len(dests) == 0:
+                    raise ConfigError(f"no od probabilities configured for grid {gid}")
+                built.append((gid, lam, dests, cum))
+            rows = self._hour_rows[hour] = tuple(built)
+        return rows
+
 
 def sample_prep(config: ScenarioConfig, rng: np.random.Generator) -> Tuple[float, float]:
     """Draw (estimated, actual) prep minutes; both clamped at zero."""
@@ -157,17 +181,9 @@ def _sample_arrivals(
     config: ScenarioConfig, minute: int, rng: np.random.Generator
 ) -> List[Tuple[int, int]]:
     """Poisson arrival (origin, destination) pairs for one simulated minute."""
-    hour = config.hour_at(minute)
     pairs: List[Tuple[int, int]] = []
-    for gid in config.region.restaurant_ids:
-        lam = config.rate_for(gid, hour) / 60.0
-        count = int(rng.poisson(lam)) if lam > 0 else 0
-        if count == 0:
-            continue
-        dests, probs = config._od_cache.get(gid, (None, None))
-        if dests is None or len(dests) == 0:
-            raise ConfigError(f"no od probabilities configured for grid {gid}")
-        cum = np.cumsum(probs)
+    for gid, lam, dests, cum in config.arrival_rows(config.hour_at(minute)):
+        count = int(rng.poisson(lam))
         for _ in range(count):
             household = int(dests[int(np.searchsorted(cum, rng.random(), side="right"))])
             pairs.append((gid, household))

@@ -7,6 +7,17 @@ max(arrival, actual ready), and chained tasks start exactly when the previous
 one completes.  Each step advances the clock by one minute and realizes every
 milestone that falls inside it, so decision-time state is always consistent
 with the milestones already in the past.
+
+Policies read the fleet through held courier rows (`SimState.courier_rows`):
+each courier's projected idle grid, minutes until idle and delivery-task
+count.  The rows live from one minute to the next.  At the first query of a
+minute only two groups are projected again: couriers the engine marked stale
+(every status change marks one, and so do `apply_dispatch` and
+`apply_reallocation`), and couriers waiting at a restaurant, the one status
+whose projection reads the clock (pickup at max(now, estimated ready)).  Idle
+rows stay at 0 minutes; every other row counts down with the clock, which is
+exact because the clock is integral and never later than a busy courier's
+idle minute.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -81,9 +92,9 @@ class Courier:
 
 @dataclass
 class CourierRows:
-    """The fleet's projection as arrays indexed by courier id, held for one
-    simulated minute: the grid where each courier's queued work ends, the
-    minutes until then (kitchen estimates) and its delivery-task count."""
+    """The fleet's projection as arrays indexed by courier id: the grid where
+    each courier's queued work ends, the minutes until then (kitchen
+    estimates) and its delivery-task count."""
 
     grid: np.ndarray
     eta: np.ndarray
@@ -135,9 +146,15 @@ class SimState:
         # from one refresh_predictions to the next.
         self.predicted = np.zeros(n, dtype=np.float64)
         self.rounded_demand = np.zeros(n, dtype=np.int64)
-        # Courier rows and the minute they were built at; see courier_rows.
+        # Courier rows, the minute they were last brought up to date at, and
+        # the couriers whose rows must be projected again; see courier_rows.
+        # The rows and the idle counts are built at their first query, so
+        # that set-up code may still place couriers before then.
         self._rows: Optional[CourierRows] = None
         self._rows_minute = -1
+        self._stale: Set[int] = set()
+        self._waiting: Set[int] = set()
+        self._idle_counts: Optional[np.ndarray] = None
         self.events: List[Event] = []
         self._finished = False
         self.log(
@@ -157,11 +174,15 @@ class SimState:
         return sorted(self.pending, key=lambda oid: (self.orders[oid].est_ready, oid))
 
     def idle_counts(self) -> np.ndarray:
-        counts = np.zeros(len(self.region), dtype=np.int64)
-        for c in self.couriers:
-            if c.status == IDLE:
-                counts[c.grid] += 1
-        return counts
+        """Idle couriers per grid.  Counted over the fleet at the first query,
+        then kept by `_set_status` as couriers go idle and leave idle."""
+        if self._idle_counts is None:
+            counts = np.zeros(len(self.region), dtype=np.int64)
+            for c in self.couriers:
+                if c.status == IDLE:
+                    counts[c.grid] += 1
+            self._idle_counts = counts
+        return self._idle_counts.copy()
 
     def pending_counts(self) -> np.ndarray:
         counts = np.zeros(len(self.region), dtype=np.int64)
@@ -226,29 +247,45 @@ class SimState:
     def courier_rows(self) -> CourierRows:
         """Every courier's projection at this minute.
 
-        The first query of a minute builds all rows; within the minute only
-        apply_dispatch and apply_reallocation change a courier, and each
-        rebuilds that courier's row.  The engine moves couriers only between
-        minutes, so no row outlives the minute it was built in.
+        The first query builds all rows.  At the first query of each later
+        minute, busy rows count down by the minutes passed, and the stale and
+        waiting couriers are projected again (see the module docstring).
+        Within a minute only apply_dispatch and apply_reallocation change a
+        courier, and each rebuilds that courier's row.
         """
-        if self._rows_minute != self.clock:
-            couriers = self.couriers
-            projected = [self.courier_eta_idle(c.id) for c in couriers]
-            self._rows = CourierRows(
+        rows = self._rows
+        if rows is None:
+            projected = [self.courier_eta_idle(c.id) for c in self.couriers]
+            rows = self._rows = CourierRows(
                 grid=np.array([g for g, _ in projected], dtype=np.int64),
                 eta=np.array([dt for _, dt in projected], dtype=np.float64),
-                tasks=np.array([c.delivery_task_count() for c in couriers], dtype=np.int64),
+                tasks=np.array([c.delivery_task_count() for c in self.couriers], dtype=np.int64),
             )
-            self._rows_minute = self.clock
-        return self._rows
+            self._stale.clear()
+        elif self._rows_minute != self.clock:
+            # Idle rows hold exactly 0.0 and every busy row more, so the
+            # countdown skips exactly the idle couriers.
+            eta = rows.eta
+            np.subtract(eta, self.clock - self._rows_minute, out=eta, where=eta > 0.0)
+            for cid in self._stale | self._waiting:
+                self._project_row(cid)
+            self._stale.clear()
+        self._rows_minute = self.clock
+        return rows
 
-    def _courier_changed(self, cid: int) -> None:
-        """Rebuild one courier's row, if this minute's rows are built."""
-        if self._rows_minute != self.clock:
-            return
+    def _project_row(self, cid: int) -> None:
         rows = self._rows
         rows.grid[cid], rows.eta[cid] = self.courier_eta_idle(cid)
         rows.tasks[cid] = self.couriers[cid].delivery_task_count()
+
+    def _courier_changed(self, cid: int) -> None:
+        """Rebuild one courier's row if this minute's rows are up to date;
+        otherwise mark it for the next refresh."""
+        if self._rows_minute == self.clock:
+            self._project_row(cid)
+            self._stale.discard(cid)
+        else:
+            self._stale.add(cid)
 
     # ------------------------------------------------------------- gap queries
 
@@ -457,6 +494,17 @@ class SimState:
             return
         if status not in LEGAL_TRANSITIONS[c.status]:
             raise ContractError(f"illegal transition {c.status} -> {status}")
+        self._stale.add(c.id)
+        if status == WAITING:
+            self._waiting.add(c.id)
+        elif c.status == WAITING:
+            self._waiting.discard(c.id)
+        counts = self._idle_counts
+        if counts is not None:
+            if status == IDLE:
+                counts[c.grid] += 1
+            elif c.status == IDLE:
+                counts[c.grid] -= 1
         c.minutes[c.status] += at - c.status_since
         self.log(
             f"courier:{c.id}",
@@ -558,7 +606,8 @@ class SimState:
     def _advance(self) -> None:
         until = float(self.clock + 1)
         for c in self.couriers:
-            self._advance_courier(c, until)
+            if c.status != IDLE:
+                self._advance_courier(c, until)
         self.clock += 1
 
 

@@ -6,16 +6,24 @@ grid and each of its six neighbor slots, the supply-demand gap and a
 neighborhood balance score (the sum of gaps over that grid's own
 neighborhood).  Rewards favor moves from over- to under-supplied areas, plus the
 average balance-score improvement around the origin.
+
+Both read tables the service region builds once, on first use.  A state is
+the center grid's int64 slot stencil times the integer gap field: one
+product gives every slot's gap and its neighborhood sum, exactly.  The
+balance-score term of a move's reward does not read the field at all.  One
+unit of supply leaving the origin lowers the score of every grid in
+N(origin) by one, and arriving at the target raises those of them that also
+lie in N(target), so the term is |N(origin) & N(target)| - |N(origin)|,
+averaged over N(origin), read from the neighborhood matrix.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ContractError
-from .hexgrid import ServiceRegion
 from .rlcore import QNet, select_action
 from .simcore import SimState
 
@@ -24,31 +32,14 @@ NUM_SLOTS = 7  # self plus the six canonical neighbor directions
 STATE_DIM = 2 * NUM_SLOTS
 
 
-def score_from_field(region: ServiceRegion, field: Sequence[float], gid: int) -> float:
-    """Balance score of a grid: the sum of gaps over its neighborhood, in
-    neighborhood order.  `field` may be an array or, cheaper to index, the
-    same values as a list."""
-    return float(sum(field[g] for g in region.neighborhoods[gid]))
-
-
 def encode_from_field(
     sim: SimState, field: np.ndarray, center: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(gap, score) pairs for the center grid and its six neighbor slots;
     absent slots are zero-filled and masked invalid."""
-    s = np.zeros(STATE_DIM, dtype=np.float64)
-    mask = np.zeros(NUM_SLOTS, dtype=bool)
-    mask[STAY] = True
-    values = field.tolist()
-    s[0] = values[center]
-    s[1] = score_from_field(sim.region, values, center)
-    for slot, nid in enumerate(sim.region.neighbor_ids(center), start=1):
-        if nid is None:
-            continue
-        mask[slot] = True
-        s[2 * slot] = values[nid]
-        s[2 * slot + 1] = score_from_field(sim.region, values, nid)
-    return s, mask
+    region = sim.region
+    s = (region.slot_stencils[center] @ field).astype(np.float64)
+    return s, region.slot_mask[center].copy()
 
 
 def encode_steer_state(sim: SimState, cid: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -74,17 +65,11 @@ def reward_reallocate(sim: SimState, origin: int, target: Optional[int]) -> floa
     if target is None or target == origin:
         return 0.0
     region = sim.region
-    field = sim.gap_field().astype(np.float64)
-    shifted = field.copy()
-    shifted[origin] -= 1.0
-    shifted[target] += 1.0
-    around = region.neighborhoods[origin]
-    before, after = field.tolist(), shifted.tolist()
-    improvement = sum(
-        score_from_field(region, after, g) - score_from_field(region, before, g)
-        for g in around
-    )
-    return float(field[origin] - field[target] + improvement / len(around))
+    field = sim.gap_field()
+    hood = region.neighborhood_matrix
+    size = len(region.neighborhoods[origin])
+    improvement = int(hood[origin] @ hood[target]) - size
+    return float(field[origin] - field[target]) + improvement / size
 
 
 def apply_steer_decision(sim: SimState, cid: int, action: int) -> Tuple[float, int]:

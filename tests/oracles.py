@@ -5,8 +5,9 @@ Q-learning oracle and a full DDQN loop over them, the replay ring as a list
 of per-transition records, the finite-difference gradient of the TD loss,
 lag features built straight from transaction records, the forecaster's
 per-node split search with a fresh sort per feature, the scalar walk of its
-trees, the hex distance formula, and a fleet projection, gap field and
-dispatch encoding recomputed from the couriers at each call.  Tests import
+trees, the hex distance formula, a fleet projection, gap field, idle and
+pending counts, dispatch and steering encodings recomputed from the couriers
+at each call, and the steering reward summed over a shifted gap field.  Tests import
 it as ``from oracles import ...``.
 """
 
@@ -457,6 +458,32 @@ def grid_neighborhood(region: ServiceRegion, gid: int) -> List[int]:
     return [gid] + [nid for nid in region.neighbor_ids(gid) if nid is not None]
 
 
+def score_from_field(region: ServiceRegion, field: Sequence[float], gid: int) -> float:
+    """Balance score of a grid: the sum of gaps over its neighborhood, in
+    neighborhood order."""
+    return float(sum(field[g] for g in region.neighborhoods[gid]))
+
+
+def shifted_field_reward(
+    region: ServiceRegion, field: np.ndarray, origin: int, target: int
+) -> float:
+    """The steering reward of a move by its definition: gap(origin) -
+    gap(target) plus the mean change, over the origin's neighborhood, of
+    each grid's balance score when one unit of supply shifts from origin to
+    target, summed over the shifted field."""
+    before = field.astype(np.float64)
+    after = before.copy()
+    after[origin] -= 1.0
+    after[target] += 1.0
+    around = region.neighborhoods[origin]
+    before_list, after_list = before.tolist(), after.tolist()
+    improvement = sum(
+        score_from_field(region, after_list, g) - score_from_field(region, before_list, g)
+        for g in around
+    )
+    return float(before[origin] - before[target] + improvement / len(around))
+
+
 def fresh_rows(sim: SimState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(idle grid, minutes until idle, delivery tasks) of every courier,
     projected afresh from its queue."""
@@ -473,22 +500,58 @@ def fresh_rows(sim: SimState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def fresh_idle_counts(sim: SimState) -> np.ndarray:
+    """Idle couriers per grid, counted courier by courier."""
+    counts = np.zeros(len(sim.region), dtype=np.int64)
+    for c in sim.couriers:
+        if c.status == IDLE:
+            counts[c.grid] += 1
+    return counts
+
+
+def fresh_pending_counts(sim: SimState) -> np.ndarray:
+    """Pending orders per restaurant grid, counted order by order."""
+    counts = np.zeros(len(sim.region), dtype=np.int64)
+    for o in sim.orders.values():
+        if o.status == "pending":
+            counts[o.restaurant] += 1
+    return counts
+
+
 def fresh_gap_field(sim: SimState) -> np.ndarray:
     """The supply-demand gap of every grid, counted courier by courier."""
-    n = len(sim.region)
-    supply = np.zeros(n, dtype=np.int64)
     if sim.mode == MODE_MYOPIC:
-        for c in sim.couriers:
-            if c.status == IDLE:
-                supply[c.grid] += 1
-        for oid in sim.pending:
-            supply[sim.orders[oid].restaurant] -= 1
-        return supply
+        return fresh_idle_counts(sim) - fresh_pending_counts(sim)
+    supply = np.zeros(len(sim.region), dtype=np.int64)
     for c in sim.couriers:
         g, t = sim._project(c, use_estimate=True)
         if t - float(sim.clock) <= ANTICIPATION_MIN:
             supply[g] += 1
     return supply - sim.rounded_demand
+
+
+def fresh_eligible_ids(sim: SimState) -> List[int]:
+    """Couriers idle strictly longer than the idle threshold, in id order."""
+    return [
+        c.id
+        for c in sim.couriers
+        if c.status == IDLE and sim.clock - c.idle_since > sim.config.idle_threshold_min
+    ]
+
+
+def fresh_steer_state(region: ServiceRegion, field: np.ndarray, center: int):
+    """The steering state and mask at a grid, slot by slot: each slot's gap
+    and its balance score summed over the grid's neighborhood."""
+    s = np.zeros(14, dtype=np.float64)
+    mask = np.zeros(7, dtype=bool)
+    values = field.tolist()
+    for slot, gid in enumerate((center,) + region.neighbor_ids(center)):
+        if gid is None:
+            continue
+        mask[slot] = True
+        s[2 * slot] = values[gid]
+        s[2 * slot + 1] = score_from_field(region, values, gid)
+    return s, mask
 
 
 def fresh_dispatch_state(sim: SimState, oid: int) -> Tuple[np.ndarray, np.ndarray]:

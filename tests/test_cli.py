@@ -12,7 +12,7 @@ from mealtwin import cli
 from mealtwin.cli import EXPERIMENT_SCHEMA, main
 from mealtwin.errors import NumericalError
 from mealtwin.rlcore import load_qnet
-from mealtwin.scenario import load_scenario
+from mealtwin.scenario import default_scenario, load_scenario, save_scenario
 from mealtwin.simcore import events_from_csv
 
 
@@ -118,6 +118,35 @@ def test_gen_scenario_rejects_bad_input(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--seed", "4", "--fleet", "9"]])
+def test_gen_scenario_default_region_is_the_sample_setup(tmp_path, capsys, extra):
+    """Without shift or rate flags the 5x5 file is the published sample
+    setup, byte for byte."""
+    out, ref = tmp_path / "gen.json", tmp_path / "ref.json"
+    assert main(["gen-scenario", "--out", str(out), *extra]) == 0
+    seed, fleet = (4, 9) if extra else (0, 25)
+    save_scenario(ref, default_scenario(seed=seed, fleet_size=fleet))
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_gen_scenario_default_region_takes_shift_and_rate_flags(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    late = ["--start-hour", "23", "--shift-minutes", "120"]
+    assert main(["gen-scenario", "--out", str(out), *late]) == 2
+    assert "midnight" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["gen-scenario", "--out", str(out), "--rate", "0"]) == 0
+    config = load_scenario(out)
+    assert config.hourly_rates[7] == {19: 0.0, 20: 0.0}
+    assert config.hourly_rates[8] == {19: 4.2, 20: 4.2}  # a half-rate grid
+    flags = ["--start-hour", "20", "--shift-minutes", "60", "--half-rate-grids", ""]
+    assert main(["gen-scenario", "--out", str(out), *flags]) == 0
+    config = load_scenario(out)
+    assert (config.shift_start_hour, config.shift_minutes) == (20, 60)
+    assert config.region.restaurant_ids == (7, 8, 9, 12, 13, 14, 17, 18, 19)
+    assert all(rates == {20: 8.4} for rates in config.hourly_rates.values())
 
 
 def test_train_artifacts(workspace, capsys):

@@ -1,10 +1,15 @@
 """Held courier rows against a fleet projection recomputed at every decision.
 
 Each shift below checks, before every dispatch and steering decision, that
-the rows, the gap field, every grid's gap, the dispatch state and the action
-mask are bitwise what a fresh courier-by-courier computation gives.  Several
-decisions fall in one minute, so a row that apply_dispatch or
-apply_reallocation failed to rebuild shows up at the next one.
+the rows, the idle and pending counts, the gap field, every grid's gap, the
+dispatch state and the action mask are bitwise what a fresh
+courier-by-courier computation gives; at a steering decision also the
+eligible couriers, the courier's steering state and the reward of every
+move it could make.  Several decisions fall in one minute, so a row that
+apply_dispatch or apply_reallocation failed to rebuild shows up at the next
+one; rows live across minutes, so one the engine failed to mark stale shows
+up at a later minute.  A last test counts the projections each minute's
+refresh makes.
 """
 
 import numpy as np
@@ -20,9 +25,19 @@ from mealtwin.forecast import OracleDemand
 from mealtwin.hexgrid import offset_rect_region
 from mealtwin.scenario import ScenarioConfig, default_scenario
 from mealtwin.simcore import MODE_MYOPIC, MODE_STRATEGIC, SimState
-from mealtwin.steering import STAY, apply_steer_decision
+from mealtwin.simcore import WAITING
+from mealtwin.steering import STAY, apply_steer_decision, encode_steer_state, reward_reallocate
 
-from oracles import fresh_dispatch_state, fresh_gap_field, fresh_rows
+from oracles import (
+    fresh_dispatch_state,
+    fresh_eligible_ids,
+    fresh_gap_field,
+    fresh_idle_counts,
+    fresh_pending_counts,
+    fresh_rows,
+    fresh_steer_state,
+    shifted_field_reward,
+)
 
 IN_FLIGHT = ("pending", "assigned", "picked_up")
 
@@ -35,13 +50,15 @@ def same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
     )
 
 
-def check_against_fresh(sim: SimState, oid=None) -> None:
+def check_against_fresh(sim: SimState, oid=None, cid=None) -> None:
     """Compare everything read from the rows with the fresh oracle; oid is
-    the order being decided, or None at a steering decision."""
+    the order being decided, cid the courier at a steering decision."""
     rows = sim.courier_rows()
     grid, eta, tasks = fresh_rows(sim)
     for held, fresh in zip((rows.grid, rows.eta, rows.tasks), (grid, eta, tasks)):
         assert same_bits(held, fresh)
+    assert same_bits(sim.idle_counts(), fresh_idle_counts(sim))
+    assert same_bits(sim.pending_counts(), fresh_pending_counts(sim))
     field = fresh_gap_field(sim)
     assert same_bits(sim.gap_field(), field)
     assert [sim.supply_demand_gap(g) for g in range(len(sim.region))] == field.tolist()
@@ -54,6 +71,17 @@ def check_against_fresh(sim: SimState, oid=None) -> None:
         s_fresh, mask_fresh = fresh_dispatch_state(sim, oid)
         assert same_bits(s, s_fresh)
         assert same_bits(mask, mask_fresh)
+    if cid is not None:
+        assert sim.eligible_steering_ids() == fresh_eligible_ids(sim)
+        origin = sim.couriers[cid].grid
+        s, mask = encode_steer_state(sim, cid)
+        s_fresh, mask_fresh = fresh_steer_state(sim.region, field, origin)
+        assert same_bits(s, s_fresh)
+        assert same_bits(mask, mask_fresh)
+        for target in sim.region.neighbor_ids(origin):
+            if target is not None:
+                expected = shifted_field_reward(sim.region, field, origin, target)
+                assert reward_reallocate(sim, origin, target) == expected
 
 
 def run_checked_shift(config: ScenarioConfig, mode: str, steer: bool, seed: int) -> int:
@@ -76,7 +104,7 @@ def run_checked_shift(config: ScenarioConfig, mode: str, steer: bool, seed: int)
         apply_dispatch_decision(s, oid, int(rng.choice(valid)))
 
     def steer_fn(s: SimState, cid: int) -> None:
-        check_against_fresh(s)
+        check_against_fresh(s, cid=cid)
         decisions[1] += 1
         grid = s.couriers[cid].grid
         slots = [STAY] + [k + 1 for k, n in enumerate(s.region.neighbor_ids(grid)) if n is not None]
@@ -114,3 +142,71 @@ def test_held_rows_match_fresh_projection(fleet, mode, steer):
 def test_held_rows_match_fresh_projection_on_large_region(mode, steer):
     steered = run_checked_shift(large_region_config(fleet=40), mode, steer, seed=11)
     assert (steered > 0) == steer
+
+
+def courier_signature(sim: SimState) -> list:
+    return [
+        (c.status, c.grid, tuple((t.kind, t.order_id, t.target) for t in c.queue))
+        for c in sim.couriers
+    ]
+
+
+def test_refresh_projects_only_changed_and_waiting_couriers(monkeypatch):
+    """At the first row query of each minute, courier_eta_idle runs once for
+    every courier that changed since its row was last built, plus every
+    courier waiting at a restaurant, and for no other."""
+    config = default_scenario(seed=5)
+    sim = SimState(config, mode=MODE_STRATEGIC, predictor=OracleDemand(config), seed_key=(5,))
+    calls = [0]
+    project = sim.courier_eta_idle
+
+    def counting(cid):
+        calls[0] += 1
+        return project(cid)
+
+    monkeypatch.setattr(sim, "courier_eta_idle", counting)
+    rng = np.random.default_rng(5)
+    nearest = NearestIdlePolicy()
+    seen = [None]  # each courier's signature when its row was last built
+    refreshed = [-1]
+    counts = []  # (projections, changed, waiting) per refresh
+
+    def refresh(s: SimState) -> None:
+        if s.clock == refreshed[0]:
+            return
+        refreshed[0] = s.clock
+        now = courier_signature(s)
+        if seen[0] is None:
+            expected = set(range(len(now)))
+        else:
+            expected = {cid for cid, sig in enumerate(now) if sig != seen[0][cid]}
+        waiting = {c.id for c in s.couriers if c.status == WAITING}
+        before = calls[0]
+        s.courier_rows()
+        counts.append((calls[0] - before, len(expected - waiting), len(waiting)))
+        assert calls[0] - before == len(expected | waiting)
+
+    def dispatch(s: SimState, oid: int, remaining) -> None:
+        refresh(s)
+        if rng.random() < 0.5:
+            nearest(s, oid, remaining)
+        else:
+            valid = np.flatnonzero(task_count_mask(s))
+            apply_dispatch_decision(s, oid, int(rng.choice(valid)))
+        seen[0] = courier_signature(s)
+
+    def steer_fn(s: SimState, cid: int) -> None:
+        refresh(s)
+        grid = s.couriers[cid].grid
+        slots = [STAY] + [k + 1 for k, n in enumerate(s.region.neighbor_ids(grid)) if n is not None]
+        apply_steer_decision(s, cid, int(rng.choice(slots)))
+        seen[0] = courier_signature(s)
+
+    sim.run(dispatch, steer_fn)
+    assert counts[0][0] == config.fleet_size
+    later = counts[1:]
+    assert len(later) > 50
+    # Both groups occur, and a refresh projects far fewer than the fleet.
+    assert any(changed for _, changed, _ in later)
+    assert any(waiting for _, _, waiting in later)
+    assert sum(n for n, _, _ in later) < config.fleet_size * len(later) / 2

@@ -13,7 +13,7 @@ import pytest
 
 from mealtwin import steering
 from mealtwin.errors import ContractError
-from mealtwin.hexgrid import default_region
+from mealtwin.hexgrid import default_region, offset_rect_region
 from mealtwin.rlcore import select_action, steering_qnet
 from mealtwin.scenario import Order, ScenarioConfig, make_rng
 from mealtwin.simcore import MODE_MYOPIC, REALLOCATING, SimState
@@ -26,11 +26,10 @@ from mealtwin.steering import (
     encode_from_field,
     encode_steer_state,
     reward_reallocate,
-    score_from_field,
     slot_target,
 )
 
-from oracles import grid_neighborhood
+from oracles import fresh_steer_state, grid_neighborhood, score_from_field, shifted_field_reward
 
 
 def quiet_config(fleet: int = 3) -> ScenarioConfig:
@@ -199,6 +198,37 @@ def test_reward_matches_brute_force_everywhere():
             checked += 1
     # 150 slots minus the 38 that fall off the 5x5 boundary.
     assert checked == 112
+
+
+@pytest.mark.parametrize("cols,rows", [(1, 1), (2, 3), (5, 5), (10, 10)])
+def test_region_tables_match_neighborhood_sums(cols, rows):
+    """The region's neighborhood matrix and slot stencils against the
+    neighborhoods, and the encoding and every move's reward read from them
+    against the slot-by-slot state and the shifted-field sum, over random
+    integer fields."""
+    region = offset_rect_region(cols, rows, (0,))
+    n = len(region)
+    matrix = region.neighborhood_matrix
+    assert matrix.dtype == np.int64 and matrix.shape == (n, n)
+    for g in range(n):
+        assert np.flatnonzero(matrix[g]).tolist() == sorted(grid_neighborhood(region, g))
+    assert region.slot_stencils.shape == (n, 2 * NUM_SLOTS, n)
+    rng = np.random.default_rng(cols * rows)
+    pairs = 0
+    for _ in range(5):
+        field = rng.integers(-6, 7, size=n)
+        sim = SimpleNamespace(region=region, gap_field=lambda: field)
+        for origin in range(n):
+            s, mask = encode_from_field(sim, field, origin)
+            s_fresh, mask_fresh = fresh_steer_state(region, field, origin)
+            assert s.tobytes() == s_fresh.tobytes() and mask.tolist() == mask_fresh.tolist()
+            for target in region.neighbor_ids(origin):
+                if target is not None:
+                    pairs += 1
+                    expected = shifted_field_reward(region, field, origin, target)
+                    assert reward_reallocate(sim, origin, target) == expected
+    # Each adjacent pair counted once per direction and field.
+    assert pairs == 5 * int(matrix.sum() - n)
 
 
 def test_apply_steer_stay_leaves_courier_alone():
