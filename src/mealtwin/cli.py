@@ -157,10 +157,10 @@ def cmd_gen_scenario(args) -> int:
         raise ConfigError("region dimensions must be positive")
     if args.restaurant_ids is not None:
         restaurant_ids = _parse_int_list(args.restaurant_ids)
-        default_half: Tuple[int, ...] = ()
+        half_grids: Sequence[int] = ()
     elif args.cols == 5 and args.rows == 5:
         # The sample region keeps its restaurants and half-rate grids.
-        restaurant_ids, default_half = list(DEFAULT_RESTAURANT_IDS), HALF_RATE_GRIDS
+        restaurant_ids, half_grids = list(DEFAULT_RESTAURANT_IDS), HALF_RATE_GRIDS
     else:
         raise ConfigError("custom region dimensions need --restaurant-ids")
     try:
@@ -169,7 +169,9 @@ def cmd_gen_scenario(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    half = set(default_half if args.half_rate_grids is None else _parse_int_list(args.half_rate_grids))
+    if args.half_rate_grids is not None:
+        half_grids = _parse_int_list(args.half_rate_grids)
+    half = set(half_grids)
     hours = sorted({args.start_hour + m // 60 for m in range(args.shift_minutes)})
     rates = {
         gid: {h: (args.half_rate if gid in half else args.rate) for h in hours}

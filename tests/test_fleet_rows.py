@@ -24,8 +24,7 @@ from mealtwin.dispatch import (
 from mealtwin.forecast import OracleDemand
 from mealtwin.hexgrid import offset_rect_region
 from mealtwin.scenario import ScenarioConfig, default_scenario
-from mealtwin.simcore import MODE_MYOPIC, MODE_STRATEGIC, SimState
-from mealtwin.simcore import WAITING
+from mealtwin.simcore import MODE_MYOPIC, MODE_STRATEGIC, WAITING, SimState
 from mealtwin.steering import STAY, apply_steer_decision, encode_steer_state, reward_reallocate
 
 from oracles import (
