@@ -11,6 +11,7 @@ which point it is dropped with a large one.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -55,17 +56,16 @@ def encode_dispatch_state(sim: SimState, oid: int) -> Tuple[np.ndarray, np.ndarr
     s = np.empty(1 + 3 * sim.config.fleet_size, dtype=np.float64)
     s[0] = o.est_ready - sim.clock
     s[1::3] = rows.eta
-    s[2::3] = sim.region.distances[rows.grid, o.restaurant]
+    s[2::3] = sim.region.distances[o.restaurant][rows.grid]  # distances are symmetric
     s[3::3] = sim.gap_field()[rows.grid]
-    return s, task_count_mask(sim)
+    return s, rows.mask.copy()
 
 
 def task_count_mask(sim: SimState) -> np.ndarray:
     """Valid dispatch actions: couriers below the delivery-task cap, plus
-    postponing (the last action), which is always valid."""
-    mask = np.ones(sim.config.fleet_size + 1, dtype=bool)
-    mask[:-1] = sim.courier_rows().tasks < sim.config.max_delivery_tasks
-    return mask
+    postponing (the last action), which is always valid.  A copy of the
+    mask held with the courier rows."""
+    return sim.courier_rows().mask.copy()
 
 
 def reward_assign(
@@ -181,7 +181,8 @@ class NearestIdlePolicy:
         idle = [c for c in sim.couriers if c.status == IDLE]
         if not idle:
             return sim.config.fleet_size
-        dists = [sim.region.distance(c.grid, o.restaurant) for c in idle]
+        row = sim.region.distance_rows[o.restaurant]  # distances are symmetric
+        dists = [row[c.grid] for c in idle]
         best = min(dists)
         candidates = [c.id for c, d in zip(idle, dists) if d == best]
         return candidates[int(sim.rng_policy.integers(len(candidates)))]
@@ -207,7 +208,10 @@ class ConvDdqnPolicy:
     Without a learner the policy is greedy.  With one it explores with the
     learner's current epsilon and hands each decision's transition, its
     reward scaled by `REWARD_SCALE`, and the raw reward to `learner.record`:
-    this is how the network is trained.
+    this is how the network is trained.  A successor that encodes the next
+    ranked order is also that order's decision state, so the next decision
+    takes it instead of encoding the order again, as long as the simulation
+    has not changed since (same `SimState.revision`).
     """
 
     def __init__(
@@ -221,9 +225,16 @@ class ConvDdqnPolicy:
         self.params = params
         self.learner = learner
         self.trace = trace
+        # (simulation, revision, order, state, mask) of the last successor
+        # that encoded the next ranked order; the simulation is held weakly.
+        self._successor: Optional[tuple] = None
 
     def decide(self, sim: SimState, oid: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        s, mask = encode_dispatch_state(sim, oid)
+        held, self._successor = self._successor, None
+        if held is not None and held[0]() is sim and held[1:3] == (sim.revision, oid):
+            s, mask = held[3], held[4]
+        else:
+            s, mask = encode_dispatch_state(sim, oid)
         q = self.net.forward(s)
         epsilon = 0.0 if self.learner is None else self.learner.epsilon()
         action = select_action(q, mask, epsilon, sim.rng_policy)
@@ -237,6 +248,8 @@ class ConvDdqnPolicy:
         if self.learner is not None:
             s2, mask2, done = dispatch_next_state(sim, s, action, removed, remaining)
             self.learner.record(s, action, reward * REWARD_SCALE, s2, done, mask2, reward)
+            if remaining and (action < fleet or removed):
+                self._successor = (weakref.ref(sim), sim.revision, remaining[0], s2, mask2)
         if self.trace is not None:
             self.trace.append(
                 {

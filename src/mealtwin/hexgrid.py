@@ -137,6 +137,14 @@ class ServiceRegion:
         return mask
 
     @cached_property
+    def neighborhood_overlaps(self) -> Tuple[Tuple[int, ...], ...]:
+        """[g][h] is the number of grids the neighborhoods of g and h share:
+        `neighborhood_matrix` times its transpose, as nested tuples of
+        plain ints."""
+        matrix = self.neighborhood_matrix
+        return tuple(map(tuple, (matrix @ matrix.T).tolist()))
+
+    @cached_property
     def distances(self) -> np.ndarray:
         """Read-only lattice distance (|dq| + |dr| + |dq+dr|) / 2 between
         every pair of grids, indexed by grid id."""
@@ -147,6 +155,12 @@ class ServiceRegion:
         distances = (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
         distances.flags.writeable = False
         return distances
+
+    @cached_property
+    def distance_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """`distances` as nested tuples of plain ints, for scalar lookups
+        (`distance_rows[a][b]`) without numpy indexing or range checks."""
+        return tuple(map(tuple, self.distances.tolist()))
 
     @cached_property
     def restaurant_ids(self) -> Tuple[int, ...]:
@@ -160,7 +174,7 @@ class ServiceRegion:
     def distance(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        return self.distances.item(a, b)  # a plain int, so event details stay JSON-safe
+        return self.distance_rows[a][b]  # a plain int, so event details stay JSON-safe
 
     def _check(self, gid: int) -> None:
         if not 0 <= gid < len(self.grids):

@@ -126,27 +126,43 @@ class QNet:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.spec.input_dim:
             raise ContractError(f"expected input shape (B, {self.spec.input_dim})")
+        return self._layers(X, want_cache)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Action values of one state.  The layers run on the 1-D vector, so
+        each is one matrix-vector product."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.spec.input_dim,):
+            raise ContractError(f"expected input shape ({self.spec.input_dim},)")
+        q, _ = self._layers(x, False)
+        return q
+
+    def _layers(self, X: np.ndarray, want_cache: bool) -> Tuple[np.ndarray, Optional[dict]]:
+        """The embedding and the dense stack over the last axis of X, for a
+        single state or a batch."""
         cache: Optional[dict] = {"inputs": [], "pre": []} if want_cache else None
         if self.spec.embed_groups:
-            head = X[:, : self.spec.head_dim]
-            triples = X[:, self.spec.head_dim :].reshape(len(X), self.spec.embed_groups, 3)
-            a = np.concatenate([head, triples @ self.embed], axis=1)
+            head = X[..., : self.spec.head_dim]
+            triples = X[..., self.spec.head_dim :].reshape(
+                X.shape[:-1] + (self.spec.embed_groups, 3)
+            )
+            a = np.concatenate([head, triples @ self.embed], axis=-1)
             if cache is not None:
                 cache["triples"] = triples
         else:
             a = X
         for w, b, act in zip(self.weights, self.biases, self.spec.activations):
+            z = a @ w
+            z += b
             if cache is not None:
                 cache["inputs"].append(a)
-            z = a @ w + b
-            if cache is not None:
                 cache["pre"].append(z)
-            a = np.maximum(z, 0.0) if act == ACT_RELU else z
+            if act == ACT_RELU:
+                # Without a cache nothing else reads z, so relu may overwrite it.
+                a = np.maximum(z, 0.0, out=None if cache is not None else z)
+            else:
+                a = z
         return a, cache
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        q, _ = self.forward_batch(np.asarray(x, dtype=np.float64)[None, :])
-        return q[0]
 
     def backward(self, cache: dict, dQ: np.ndarray) -> np.ndarray:
         """Gradient of whatever loss produced dQ, as a flat vector over params."""
@@ -271,15 +287,30 @@ def epsilon_schedule(
 def select_action(
     q: np.ndarray, mask: np.ndarray, eps: float, rng: np.random.Generator
 ) -> int:
-    """Epsilon-greedy over valid actions; greedy ties go to the lowest index."""
+    """Epsilon-greedy over valid actions; greedy ties go to the lowest index.
+
+    The greedy pick is one argmax over every action.  Only when that winner
+    is masked does it fall back to the argmax over the valid subset, so a
+    degenerate net (all -inf values) still never yields a masked action.
+    Where the winner is valid the two agree: it is the first index holding
+    the maximum (or the first NaN), hence also the first valid one.
+    """
+    if eps > 0.0:
+        valid = _valid_actions(mask)
+        if rng.random() < eps:
+            return int(valid[rng.integers(valid.size)])
+    best = int(q.argmax())
+    if mask[best]:
+        return best
+    valid = _valid_actions(mask)
+    return int(valid[np.argmax(q[valid])])
+
+
+def _valid_actions(mask: np.ndarray) -> np.ndarray:
     valid = np.flatnonzero(mask)
     if valid.size == 0:
         raise ContractError("action mask leaves no valid action")
-    if eps > 0.0 and rng.random() < eps:
-        return int(valid[rng.integers(valid.size)])
-    # Argmax over the valid subset only: a degenerate net (all -inf values)
-    # must still never yield a masked action.
-    return int(valid[np.argmax(q[valid])])
+    return valid
 
 
 def sync_target(value: QNet, target: QNet) -> None:

@@ -10,14 +10,23 @@ with the milestones already in the past.
 
 Policies read the fleet through held courier rows (`SimState.courier_rows`):
 each courier's projected idle grid, minutes until idle and delivery-task
-count.  The rows live from one minute to the next.  At the first query of a
-minute only two groups are projected again: couriers the engine marked stale
-(every status change marks one, and so do `apply_dispatch` and
-`apply_reallocation`), and couriers waiting at a restaurant, the one status
-whose projection reads the clock (pickup at max(now, estimated ready)).  Idle
-rows stay at 0 minutes; every other row counts down with the clock, which is
-exact because the clock is integral and never later than a busy courier's
-idle minute.
+count, with the dispatch action mask beside them.  The rows live from one
+minute to the next.  At the first query of a minute only two groups are
+projected again: couriers the engine marked stale (every status change marks
+one, and so do `apply_dispatch` and `apply_reallocation`), and couriers
+waiting at a restaurant whose order's estimated ready minute is already
+past.  Waiting is the one status whose projection reads the clock, through
+pickup at max(now, estimated ready); until the estimate is past, that max is
+the estimate itself.  So for every other courier the projected idle minute
+is fixed: idle rows stay at 0 minutes and every other row counts down with
+the clock, which is exact because the clock is integral and never later
+than a busy courier's idle minute.
+
+The gap field is held as well.  In strategic mode one `bincount` over the
+rows builds it at its first query after each minute's row refresh and after
+each `refresh_predictions`; a row rebuilt within the minute moves its unit
+of anticipated supply in place.  In myopic mode it is the held idle counts
+minus the held pending counts.
 """
 
 from __future__ import annotations
@@ -87,18 +96,25 @@ class Courier:
     served: int = 0
 
     def delivery_task_count(self) -> int:
-        return sum(1 for t in self.queue if t.kind == DELIVERY)
+        """Delivery tasks in the queue.  Only an idle courier, whose queue is
+        empty, is given a reallocation, so a reallocation task is only ever
+        at the head of a queue."""
+        queue = self.queue
+        return len(queue) - (1 if queue and queue[0].kind == REALLOCATE else 0)
 
 
 @dataclass
 class CourierRows:
     """The fleet's projection as arrays indexed by courier id: the grid where
     each courier's queued work ends, the minutes until then (kitchen
-    estimates) and its delivery-task count."""
+    estimates) and its delivery-task count.  `mask` holds the valid dispatch
+    actions: couriers below the delivery-task cap, then postponing, always
+    valid."""
 
     grid: np.ndarray
     eta: np.ndarray
     tasks: np.ndarray
+    mask: np.ndarray
 
 
 @dataclass
@@ -146,15 +162,27 @@ class SimState:
         # from one refresh_predictions to the next.
         self.predicted = np.zeros(n, dtype=np.float64)
         self.rounded_demand = np.zeros(n, dtype=np.int64)
-        # Courier rows, the minute they were last brought up to date at, and
-        # the couriers whose rows must be projected again; see courier_rows.
-        # The rows and the idle counts are built at their first query, so
-        # that set-up code may still place couriers before then.
+        # Courier rows, the minute they were last brought up to date at, the
+        # couriers whose rows must be projected again, and the estimated
+        # ready minute each waiting courier's order has; see courier_rows.
+        # The rows and the idle and pending counts are built at their first
+        # query, so that set-up code may still place couriers and orders
+        # before then.
         self._rows: Optional[CourierRows] = None
         self._rows_minute = -1
         self._stale: Set[int] = set()
-        self._waiting: Set[int] = set()
+        self._waiting: Dict[int, float] = {}
         self._idle_counts: Optional[np.ndarray] = None
+        self._pending_counts: Optional[np.ndarray] = None
+        # The gap field and its read-only view; in strategic mode
+        # _field_ok says whether it is in step with this minute's rows.
+        self._field = np.zeros(n, dtype=np.int64)
+        self._field_view = self._field.view()
+        self._field_view.flags.writeable = False
+        self._field_ok = False
+        # Bumped by every change to what a decision reads: each apply_*,
+        # refresh_predictions and the advance of the clock.
+        self.revision = 0
         self.events: List[Event] = []
         self._finished = False
         self.log(
@@ -174,7 +202,15 @@ class SimState:
         return sorted(self.pending, key=lambda oid: (self.orders[oid].est_ready, oid))
 
     def idle_counts(self) -> np.ndarray:
-        """Idle couriers per grid.  Counted over the fleet at the first query,
+        """Idle couriers per grid."""
+        return self._idle().copy()
+
+    def pending_counts(self) -> np.ndarray:
+        """Pending orders per restaurant grid."""
+        return self._pending().copy()
+
+    def _idle(self) -> np.ndarray:
+        """The held idle counts: counted over the fleet at the first query,
         then kept by `_set_status` as couriers go idle and leave idle."""
         if self._idle_counts is None:
             counts = np.zeros(len(self.region), dtype=np.int64)
@@ -182,13 +218,31 @@ class SimState:
                 if c.status == IDLE:
                     counts[c.grid] += 1
             self._idle_counts = counts
-        return self._idle_counts.copy()
+        return self._idle_counts
 
-    def pending_counts(self) -> np.ndarray:
-        counts = np.zeros(len(self.region), dtype=np.int64)
-        for oid in self.pending:
-            counts[self.orders[oid].restaurant] += 1
-        return counts
+    def _pending(self) -> np.ndarray:
+        """The held pending counts: counted over the order book at the first
+        query, then kept as orders are placed, assigned and dropped."""
+        if self._pending_counts is None:
+            counts = np.zeros(len(self.region), dtype=np.int64)
+            for oid in self.pending:
+                counts[self.orders[oid].restaurant] += 1
+            self._pending_counts = counts
+        return self._pending_counts
+
+    def place_order(self, o: Order) -> None:
+        """Enter a new order into the book as pending.  Orders enter only
+        here, so that the held pending counts see every one."""
+        self.orders[o.id] = o
+        self.pending.append(o.id)
+        self.next_order_id = o.id + 1
+        if self._pending_counts is not None:
+            self._pending_counts[o.restaurant] += 1
+
+    def _drop_pending(self, o: Order) -> None:
+        self.pending.remove(o.id)
+        if self._pending_counts is not None:
+            self._pending_counts[o.restaurant] -= 1
 
     # -------------------------------------------------------- courier projection
 
@@ -202,6 +256,7 @@ class SimState:
         now = float(self.clock)
         if c.status == IDLE:
             return c.grid, now
+        dist = self.region.distance_rows
         head = c.queue[0]
         if head.kind == REALLOCATE:
             g, t = head.target, c.done_time
@@ -211,22 +266,18 @@ class SimState:
             if c.status == TO_DELIVERY or not use_estimate:
                 t = c.done_time
             elif c.status == WAITING:
-                t = max(now, o.est_ready) + MINUTES_PER_UNIT * self.region.distance(
-                    o.restaurant, o.household
-                )
+                t = max(now, o.est_ready) + MINUTES_PER_UNIT * dist[o.restaurant][o.household]
             else:  # TO_PICKUP
-                t = max(c.arrive_time, o.est_ready) + MINUTES_PER_UNIT * self.region.distance(
-                    o.restaurant, o.household
-                )
+                t = max(c.arrive_time, o.est_ready) + MINUTES_PER_UNIT * dist[o.restaurant][
+                    o.household
+                ]
             g = o.household
             rest = c.queue[1:]
         for task in rest:
             o = self.orders[task.order_id]
-            arrive = t + MINUTES_PER_UNIT * self.region.distance(g, o.restaurant)
+            arrive = t + MINUTES_PER_UNIT * dist[g][o.restaurant]
             ready = o.est_ready if use_estimate else o.ready_time
-            t = max(arrive, ready) + MINUTES_PER_UNIT * self.region.distance(
-                o.restaurant, o.household
-            )
+            t = max(arrive, ready) + MINUTES_PER_UNIT * dist[o.restaurant][o.household]
             g = o.household
         return g, t
 
@@ -248,35 +299,57 @@ class SimState:
         """Every courier's projection at this minute.
 
         The first query builds all rows.  At the first query of each later
-        minute, busy rows count down by the minutes passed, and the stale and
-        waiting couriers are projected again (see the module docstring).
-        Within a minute only apply_dispatch and apply_reallocation change a
-        courier, and each rebuilds that courier's row.
+        minute, busy rows count down by the minutes passed, and the stale
+        couriers and the waiting ones past their order's estimated ready
+        minute are projected again (see the module docstring).  Within a
+        minute only apply_dispatch and apply_reallocation change a courier,
+        and each rebuilds that courier's row.
         """
         rows = self._rows
+        clock = self.clock
         if rows is None:
             projected = [self.courier_eta_idle(c.id) for c in self.couriers]
+            tasks = np.array([c.delivery_task_count() for c in self.couriers], dtype=np.int64)
             rows = self._rows = CourierRows(
                 grid=np.array([g for g, _ in projected], dtype=np.int64),
                 eta=np.array([dt for _, dt in projected], dtype=np.float64),
-                tasks=np.array([c.delivery_task_count() for c in self.couriers], dtype=np.int64),
+                tasks=tasks,
+                mask=np.append(tasks < self.config.max_delivery_tasks, True),
             )
             self._stale.clear()
-        elif self._rows_minute != self.clock:
-            # Idle rows hold exactly 0.0 and every busy row more, so the
-            # countdown skips exactly the idle couriers.
+            self._field_ok = False
+        elif self._rows_minute != clock:
+            # Every row that is not projected again below belongs to an idle
+            # courier (0.0, kept there by the clamp) or to a busy one whose
+            # idle minute is not before the clock, so no other row is
+            # clamped.
             eta = rows.eta
-            np.subtract(eta, self.clock - self._rows_minute, out=eta, where=eta > 0.0)
-            for cid in self._stale | self._waiting:
+            np.subtract(eta, clock - self._rows_minute, out=eta)
+            np.maximum(eta, 0.0, out=eta)
+            self._field_ok = False
+            stale = self._stale
+            stale.update([cid for cid, ready in self._waiting.items() if ready < clock])
+            for cid in stale:
                 self._project_row(cid)
-            self._stale.clear()
-        self._rows_minute = self.clock
+            stale.clear()
+        self._rows_minute = clock
         return rows
 
     def _project_row(self, cid: int) -> None:
+        """Project one courier again, and keep its mask entry and, while it
+        is in step with the rows, the strategic gap field with it."""
         rows = self._rows
-        rows.grid[cid], rows.eta[cid] = self.courier_eta_idle(cid)
-        rows.tasks[cid] = self.couriers[cid].delivery_task_count()
+        field = self._field if self._field_ok else None
+        if field is not None and rows.eta[cid] <= ANTICIPATION_MIN:
+            field[rows.grid[cid]] -= 1
+        g, eta = self.courier_eta_idle(cid)
+        rows.grid[cid] = g
+        rows.eta[cid] = eta
+        tasks = self.couriers[cid].delivery_task_count()
+        rows.tasks[cid] = tasks
+        rows.mask[cid] = tasks < self.config.max_delivery_tasks
+        if field is not None and eta <= ANTICIPATION_MIN:
+            field[g] += 1
 
     def _courier_changed(self, cid: int) -> None:
         """Rebuild one courier's row if this minute's rows are up to date;
@@ -302,6 +375,8 @@ class SimState:
             predicted = np.maximum(raw, 0.0, dtype=np.float64)
         self.predicted = predicted
         self.rounded_demand = _round_half_up(predicted)
+        self._field_ok = False
+        self.revision += 1
 
     def supply_demand_gap(self, gid: int) -> int:
         """Courier supply minus order demand at one grid: gap_field()[gid]."""
@@ -314,12 +389,22 @@ class SimState:
         minus pending unassigned orders from it.  Strategic mode anticipates:
         couriers turning idle there within 15 minutes minus the predicted
         15-minute order count (rounded half-up).
+
+        The result is a read-only view of the held field, which changes in
+        place with the state; copy it to keep it.
         """
+        field = self._field
         if self.mode == MODE_MYOPIC:
-            return self.idle_counts() - self.pending_counts()
-        rows = self.courier_rows()
-        supply = np.bincount(rows.grid[rows.eta <= ANTICIPATION_MIN], minlength=len(self.region))
-        return supply - self.rounded_demand
+            np.subtract(self._idle(), self._pending(), out=field)
+        else:
+            rows = self.courier_rows()
+            if not self._field_ok:
+                supply = np.bincount(
+                    rows.grid[rows.eta <= ANTICIPATION_MIN], minlength=len(self.region)
+                )
+                np.subtract(supply, self.rounded_demand, out=field)
+                self._field_ok = True
+        return self._field_view
 
     # ------------------------------------------------------------ environment ops
 
@@ -346,7 +431,8 @@ class SimState:
         o.assigned_courier = cid
         o.courier_arrival = arrival
         o.pickup_distance = d
-        self.pending.remove(oid)
+        self._drop_pending(o)
+        self.revision += 1
         c.queue.append(Task(DELIVERY, order_id=oid))
         if c.status == IDLE:
             c.idle_since = None
@@ -367,9 +453,10 @@ class SimState:
         o = self.orders[oid]
         if o.status != "pending":
             raise ContractError(f"order {oid} is not pending")
+        self.revision += 1
         if remove_overdue:
             o.status = "overdue"
-            self.pending.remove(oid)
+            self._drop_pending(o)
             self.overdue += 1
             self.log(f"order:{oid}", "overdue", {"order": oid})
         else:
@@ -384,6 +471,7 @@ class SimState:
                 f"grid {target} is not adjacent to courier {cid} at {c.grid}"
             )
         origin = c.grid
+        self.revision += 1
         c.idle_since = None
         c.queue.append(Task(REALLOCATE, target=target))
         self._start_task(c, float(self.clock))
@@ -411,9 +499,7 @@ class SimState:
             raise ContractError("the shift is already over")
         t = self.clock
         for o in sample_orders(self.config, t, self.rng_orders, self.next_order_id):
-            self.orders[o.id] = o
-            self.pending.append(o.id)
-            self.next_order_id = o.id + 1
+            self.place_order(o)
             self.sampled += 1
             self.minute_counts[o.restaurant, t] += 1.0
             self.log(
@@ -437,7 +523,7 @@ class SimState:
         if steer_fn is not None:
             for cid in self.eligible_steering_ids():
                 steer_fn(self, cid)
-        idle, pending = self.idle_counts(), self.pending_counts()
+        idle, pending = self._idle(), self._pending()
         self.log(
             "system",
             "snapshot",
@@ -496,9 +582,9 @@ class SimState:
             raise ContractError(f"illegal transition {c.status} -> {status}")
         self._stale.add(c.id)
         if status == WAITING:
-            self._waiting.add(c.id)
+            self._waiting[c.id] = self.orders[c.queue[0].order_id].est_ready
         elif c.status == WAITING:
-            self._waiting.discard(c.id)
+            del self._waiting[c.id]
         counts = self._idle_counts
         if counts is not None:
             if status == IDLE:
@@ -609,6 +695,7 @@ class SimState:
             if c.status != IDLE:
                 self._advance_courier(c, until)
         self.clock += 1
+        self.revision += 1
 
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ balance-score term of a move's reward does not read the field at all.  One
 unit of supply leaving the origin lowers the score of every grid in
 N(origin) by one, and arriving at the target raises those of them that also
 lie in N(target), so the term is |N(origin) & N(target)| - |N(origin)|,
-averaged over N(origin), read from the neighborhood matrix.
+averaged over N(origin), read from the region's neighborhood overlaps.
 """
 
 from __future__ import annotations
@@ -66,9 +66,8 @@ def reward_reallocate(sim: SimState, origin: int, target: Optional[int]) -> floa
         return 0.0
     region = sim.region
     field = sim.gap_field()
-    hood = region.neighborhood_matrix
     size = len(region.neighborhoods[origin])
-    improvement = int(hood[origin] @ hood[target]) - size
+    improvement = region.neighborhood_overlaps[origin][target] - size
     return float(field[origin] - field[target]) + improvement / size
 
 

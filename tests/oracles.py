@@ -3,12 +3,14 @@
 None of this runs in a training or evaluation: toy MDPs with a tabular
 Q-learning oracle and a full DDQN loop over them, the replay ring as a list
 of per-transition records, the finite-difference gradient of the TD loss,
-lag features built straight from transaction records, the forecaster's
-per-node split search with a fresh sort per feature, the scalar walk of its
-trees, the hex distance formula, a fleet projection, gap field, idle and
-pending counts, dispatch and steering encodings recomputed from the couriers
-at each call, and the steering reward summed over a shifted gap field.  Tests import
-it as ``from oracles import ...``.
+epsilon-greedy selection over the valid subset of actions, lag features
+built straight from transaction records, the forecaster's per-node split
+search with a fresh sort per feature, the scalar walk of its trees, the hex
+distance formula, a fleet projection (its own walk over each queue, on that
+formula), gap field, idle and pending counts, dispatch and steering
+encodings recomputed from the couriers at each call, and the steering reward
+summed over a shifted gap field.  Tests import it as ``from oracles import
+...``.
 """
 
 from dataclasses import dataclass
@@ -33,9 +35,19 @@ from mealtwin.rlcore import (
     select_action,
     sync_target,
 )
-from mealtwin.hexgrid import HexCoord, ServiceRegion
+from mealtwin.hexgrid import MINUTES_PER_UNIT, HexCoord, ServiceRegion
 from mealtwin.scenario import DEFAULT_SHIFT_WEEKDAY, ScenarioConfig, TransactionRecord
-from mealtwin.simcore import ANTICIPATION_MIN, IDLE, MODE_MYOPIC, SimState
+from mealtwin.simcore import (
+    ANTICIPATION_MIN,
+    DELIVERY,
+    IDLE,
+    MODE_MYOPIC,
+    REALLOCATE,
+    TO_DELIVERY,
+    WAITING,
+    Courier,
+    SimState,
+)
 
 # ---------------------------------------------------------------- gradients
 
@@ -219,6 +231,19 @@ class ListReplayBuffer:
             done=np.array([t[4] for t in rows], dtype=bool),
             mask2=np.stack([t[5] for t in rows]),
         )
+
+
+def reference_select_action(
+    q: np.ndarray, mask: np.ndarray, eps: float, rng: np.random.Generator
+) -> int:
+    """Epsilon-greedy with the greedy argmax taken over the valid subset
+    only; the draws and the choice `select_action` must reproduce."""
+    valid = np.flatnonzero(mask)
+    if valid.size == 0:
+        raise ContractError("action mask leaves no valid action")
+    if eps > 0.0 and rng.random() < eps:
+        return int(valid[rng.integers(valid.size)])
+    return int(valid[np.argmax(q[valid])])
 
 
 def ddqn_toy_train(
@@ -484,15 +509,55 @@ def shifted_field_reward(
     return float(before[origin] - before[target] + improvement / len(around))
 
 
+def grid_distance(region: ServiceRegion, a: int, b: int) -> int:
+    return hex_distance(region.grids[a], region.grids[b])
+
+
+def project_courier(sim: SimState, c: Courier) -> Tuple[int, float]:
+    """Grid and absolute minute at which the courier's queued work ends,
+    with kitchen estimates for every prep time not yet known: the head task
+    from the courier's status and milestone times, then each queued delivery
+    in turn, on the hex distance formula."""
+    region = sim.region
+    now = float(sim.clock)
+    if c.status == IDLE:
+        return c.grid, now
+    head = c.queue[0]
+    if head.kind == REALLOCATE:
+        g, t = head.target, c.done_time
+    else:
+        o = sim.orders[head.order_id]
+        if c.status == TO_DELIVERY:
+            t = c.done_time
+        else:
+            arrive = now if c.status == WAITING else c.arrive_time
+            t = max(arrive, o.est_ready) + MINUTES_PER_UNIT * grid_distance(
+                region, o.restaurant, o.household
+            )
+        g = o.household
+    for task in c.queue[1:]:
+        o = sim.orders[task.order_id]
+        arrive = t + MINUTES_PER_UNIT * grid_distance(region, g, o.restaurant)
+        t = max(arrive, o.est_ready) + MINUTES_PER_UNIT * grid_distance(
+            region, o.restaurant, o.household
+        )
+        g = o.household
+    return g, t
+
+
+def queued_deliveries(c: Courier) -> int:
+    return sum(1 for task in c.queue if task.kind == DELIVERY)
+
+
 def fresh_rows(sim: SimState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(idle grid, minutes until idle, delivery tasks) of every courier,
     projected afresh from its queue."""
     grid, eta, tasks = [], [], []
     for c in sim.couriers:
-        g, t = sim._project(c, use_estimate=True)
+        g, t = project_courier(sim, c)
         grid.append(g)
         eta.append(t - float(sim.clock))
-        tasks.append(c.delivery_task_count())
+        tasks.append(queued_deliveries(c))
     return (
         np.array(grid, dtype=np.int64),
         np.array(eta, dtype=np.float64),
@@ -524,7 +589,7 @@ def fresh_gap_field(sim: SimState) -> np.ndarray:
         return fresh_idle_counts(sim) - fresh_pending_counts(sim)
     supply = np.zeros(len(sim.region), dtype=np.int64)
     for c in sim.couriers:
-        g, t = sim._project(c, use_estimate=True)
+        g, t = project_courier(sim, c)
         if t - float(sim.clock) <= ANTICIPATION_MIN:
             supply[g] += 1
     return supply - sim.rounded_demand

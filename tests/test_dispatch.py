@@ -31,9 +31,12 @@ from mealtwin.dispatch import (
 from mealtwin.errors import ContractError
 from mealtwin.hexgrid import default_region
 from mealtwin.rlcore import dispatch_qnet, select_action
-from mealtwin.scenario import Order, ScenarioConfig, make_rng
-from mealtwin.simcore import MODE_MYOPIC, SimState
+from mealtwin.forecast import OracleDemand
+from mealtwin.scenario import Order, ScenarioConfig, default_scenario, make_rng
+from mealtwin.simcore import IDLE, MODE_MYOPIC, MODE_STRATEGIC, SimState
 from mealtwin.trainer import TrainingPlan, _Learner
+
+from oracles import fresh_dispatch_state
 
 
 def quiet_config(fleet: int = 3) -> ScenarioConfig:
@@ -51,9 +54,7 @@ def add_order(sim: SimState, restaurant: int, household: int, est: float, actual
         est_prep=est,
         actual_prep=actual,
     )
-    sim.orders[o.id] = o
-    sim.pending.append(o.id)
-    sim.next_order_id += 1
+    sim.place_order(o)
     sim.sampled += 1
     return o
 
@@ -371,3 +372,77 @@ def test_conv_policy_learner_stores_scaled_reward(monkeypatch):
     assert len(learner.buffer) == len(raws) == 3
     assert learner.buffer.r[:3].tolist() == [raw * REWARD_SCALE for raw in raws]
     assert learner.episode_return == sum(raws)
+
+
+class CheckedNet:
+    """A net whose forward first checks the state it is given against the
+    oracle encoding of the order being decided."""
+
+    def __init__(self, net, deciding):
+        self.net = net
+        self.deciding = deciding  # [sim, order] of the decision under way
+
+    def forward(self, s):
+        sim, oid = self.deciding
+        expected, _ = fresh_dispatch_state(sim, oid)
+        assert s.tobytes() == expected.tobytes()
+        return self.net.forward(s)
+
+
+def counting_encoder(monkeypatch) -> list:
+    calls = [0]
+    encode = dispatch.encode_dispatch_state
+
+    def counted(sim, oid):
+        calls[0] += 1
+        return encode(sim, oid)
+
+    monkeypatch.setattr(dispatch, "encode_dispatch_state", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [MODE_STRATEGIC, MODE_MYOPIC])
+def test_conv_policy_learner_encodes_each_order_once(monkeypatch, mode):
+    """While a learner records, the successor encoding of the next ranked
+    order is that order's decision state: each decision is encoded once,
+    and every state a decision uses is the fresh encoding."""
+    encodes = counting_encoder(monkeypatch)
+    config = default_scenario(seed=6)
+    predictor = OracleDemand(config) if mode == MODE_STRATEGIC else None
+    sim = SimState(config, mode=mode, predictor=predictor, seed_key=(6,))
+    deciding = [None, None]
+    learner = stub_learner(0.3)
+    policy = ConvDdqnPolicy(
+        CheckedNet(dispatch_qnet(config.fleet_size, rng=make_rng(8)), deciding), learner=learner
+    )
+    successors = [0]  # successors that encode the next ranked order
+
+    def decide(s: SimState, oid: int, remaining) -> None:
+        deciding[:] = [s, oid]
+        policy(s, oid, remaining)
+        if remaining and s.orders[oid].status != "pending":
+            successors[0] += 1
+
+    sim.run(decide)
+    decisions = len(learner.records)
+    assert decisions > 100 and successors[0] > 50
+    assert encodes[0] == decisions
+
+
+def test_conv_policy_encodes_again_after_the_sim_changed(monkeypatch):
+    """A successor is not reused once an apply_* call changed the state."""
+    encodes = counting_encoder(monkeypatch)
+    sim = make_sim(grids=(8, 7, 12))
+    first = add_order(sim, restaurant=7, household=24, est=4.0, actual=5.0)
+    second = add_order(sim, restaurant=13, household=1, est=6.0, actual=6.0)
+    deciding = [sim, first.id]
+    policy = ConvDdqnPolicy(
+        CheckedNet(dispatch_qnet(3, rng=make_rng(3)), deciding), learner=stub_learner(0.0)
+    )
+    policy(sim, first.id, [second.id])
+    assert encodes[0] == 2  # the decision and its successor
+    mover = next(c for c in sim.couriers if c.status == IDLE)
+    sim.apply_reallocation(mover.id, sim.region.neighborhoods[mover.grid][1])
+    deciding[1] = second.id
+    policy(sim, second.id, [])
+    assert encodes[0] == 3

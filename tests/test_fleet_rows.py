@@ -1,15 +1,16 @@
 """Held courier rows against a fleet projection recomputed at every decision.
 
 Each shift below checks, before every dispatch and steering decision, that
-the rows, the idle and pending counts, the gap field, every grid's gap, the
-dispatch state and the action mask are bitwise what a fresh
-courier-by-courier computation gives; at a steering decision also the
+the rows, the held action mask, the idle and pending counts, the gap field,
+every grid's gap, the dispatch state and the action mask are bitwise what a
+fresh courier-by-courier computation gives; at a steering decision also the
 eligible couriers, the courier's steering state and the reward of every
-move it could make.  Several decisions fall in one minute, so a row that
-apply_dispatch or apply_reallocation failed to rebuild shows up at the next
-one; rows live across minutes, so one the engine failed to mark stale shows
-up at a later minute.  A last test counts the projections each minute's
-refresh makes.
+move it could make.  Several decisions fall in one minute, so a row (or the
+gap field's share of it) that apply_dispatch or apply_reallocation failed
+to rebuild shows up at the next one; rows live across minutes, so one the
+engine failed to mark stale shows up at a later minute.  Further tests count
+the projections each minute's refresh makes, and check that refused actions
+leave every piece of held state as it was.
 """
 
 import numpy as np
@@ -24,7 +25,8 @@ from mealtwin.dispatch import (
 from mealtwin.forecast import OracleDemand
 from mealtwin.hexgrid import offset_rect_region
 from mealtwin.scenario import ScenarioConfig, default_scenario
-from mealtwin.simcore import MODE_MYOPIC, MODE_STRATEGIC, WAITING, SimState
+from mealtwin.errors import ContractError
+from mealtwin.simcore import DELIVERY, IDLE, MODE_MYOPIC, MODE_STRATEGIC, WAITING, SimState
 from mealtwin.steering import STAY, apply_steer_decision, encode_steer_state, reward_reallocate
 
 from oracles import (
@@ -52,10 +54,14 @@ def same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
 def check_against_fresh(sim: SimState, oid=None, cid=None) -> None:
     """Compare everything read from the rows with the fresh oracle; oid is
     the order being decided, cid the courier at a steering decision."""
+    # A reallocation is only ever queued on an idle courier, whose queue is
+    # empty, so it can only be the head: delivery_task_count relies on it.
+    assert all(t.kind == DELIVERY for c in sim.couriers for t in c.queue[1:])
     rows = sim.courier_rows()
     grid, eta, tasks = fresh_rows(sim)
     for held, fresh in zip((rows.grid, rows.eta, rows.tasks), (grid, eta, tasks)):
         assert same_bits(held, fresh)
+    assert same_bits(rows.mask, np.append(tasks < sim.config.max_delivery_tasks, True))
     assert same_bits(sim.idle_counts(), fresh_idle_counts(sim))
     assert same_bits(sim.pending_counts(), fresh_pending_counts(sim))
     field = fresh_gap_field(sim)
@@ -153,7 +159,8 @@ def courier_signature(sim: SimState) -> list:
 def test_refresh_projects_only_changed_and_waiting_couriers(monkeypatch):
     """At the first row query of each minute, courier_eta_idle runs once for
     every courier that changed since its row was last built, plus every
-    courier waiting at a restaurant, and for no other."""
+    courier waiting at a restaurant whose order's estimated ready minute is
+    past, and for no other."""
     config = default_scenario(seed=5)
     sim = SimState(config, mode=MODE_STRATEGIC, predictor=OracleDemand(config), seed_key=(5,))
     calls = [0]
@@ -179,7 +186,11 @@ def test_refresh_projects_only_changed_and_waiting_couriers(monkeypatch):
             expected = set(range(len(now)))
         else:
             expected = {cid for cid, sig in enumerate(now) if sig != seen[0][cid]}
-        waiting = {c.id for c in s.couriers if c.status == WAITING}
+        waiting = {
+            c.id
+            for c in s.couriers
+            if c.status == WAITING and s.orders[c.queue[0].order_id].est_ready < s.clock
+        }
         before = calls[0]
         s.courier_rows()
         counts.append((calls[0] - before, len(expected - waiting), len(waiting)))
@@ -209,3 +220,73 @@ def test_refresh_projects_only_changed_and_waiting_couriers(monkeypatch):
     assert any(changed for _, changed, _ in later)
     assert any(waiting for _, _, waiting in later)
     assert sum(n for n, _, _ in later) < config.fleet_size * len(later) / 2
+
+
+def held_state(sim: SimState) -> tuple:
+    """Copies of everything a decision reads from held state, and the log."""
+    rows = sim.courier_rows()
+    return (
+        rows.grid.copy(),
+        rows.eta.copy(),
+        rows.tasks.copy(),
+        rows.mask.copy(),
+        sim.gap_field().copy(),
+        sim.idle_counts(),
+        sim.pending_counts(),
+        list(sim.events),
+    )
+
+
+def assert_same_state(before: tuple, after: tuple) -> None:
+    for old, new in zip(before[:-1], after[:-1]):
+        assert same_bits(new, old)
+    assert after[-1] == before[-1]
+
+
+@pytest.mark.parametrize("mode", [MODE_STRATEGIC, MODE_MYOPIC])
+def test_refused_actions_leave_held_state_unchanged(mode):
+    """Part way through a shift, with rows and field built, each refused
+    action raises ContractError and changes nothing a decision reads."""
+    config = default_scenario(seed=3)
+    predictor = OracleDemand(config) if mode == MODE_STRATEGIC else None
+    sim = SimState(config, mode=mode, predictor=predictor, seed_key=(3,))
+    nearest = NearestIdlePolicy()
+
+    def odd_orders_wait(s: SimState, oid: int, remaining) -> None:
+        if oid % 2 == 0:
+            nearest(s, oid, remaining)
+
+    for _ in range(40):
+        sim.step(odd_orders_wait)
+    sim.courier_rows()
+    # Fill one courier to the cap so that a dispatch to it is refused.
+    full = sim.couriers[0]
+    while full.delivery_task_count() < config.max_delivery_tasks:
+        sim.apply_dispatch(sim.pending[0], full.id)
+    assert sim.pending
+    done = next(o.id for o in sim.orders.values() if o.status != "pending")
+    idle = next(c for c in sim.couriers if c.status == IDLE)
+    busy = next(c for c in sim.couriers if c.status != IDLE)
+    far = next(
+        g for g in range(len(sim.region))
+        if g != idle.grid and g not in sim.region.neighbor_ids(idle.grid)
+    )
+    refused = [
+        lambda: sim.apply_dispatch(done, idle.id),
+        lambda: sim.apply_dispatch(sim.pending[0], full.id),
+        lambda: sim.apply_postpone(done, True),
+        lambda: sim.apply_reallocation(busy.id, sim.region.neighborhoods[busy.grid][1]),
+        lambda: sim.apply_reallocation(idle.id, far),
+        lambda: sim.apply_reallocation(idle.id, None),
+    ]
+    before = held_state(sim)
+    revision = sim.revision
+    for act in refused:
+        with pytest.raises(ContractError):
+            act()
+        assert_same_state(before, held_state(sim))
+        assert sim.revision == revision
+    field = sim.gap_field()
+    with pytest.raises(ValueError):
+        field[0] = 1
+    assert_same_state(before, held_state(sim))

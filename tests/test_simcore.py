@@ -48,9 +48,7 @@ def add_order(sim: SimState, restaurant: int, household: int, est: float, actual
         est_prep=est,
         actual_prep=actual,
     )
-    sim.orders[o.id] = o
-    sim.pending.append(o.id)
-    sim.next_order_id += 1
+    sim.place_order(o)
     sim.sampled += 1
     return o
 

@@ -61,9 +61,7 @@ def add_pending(sim: SimState, restaurant: int) -> Order:
         est_prep=5.0,
         actual_prep=5.0,
     )
-    sim.orders[o.id] = o
-    sim.pending.append(o.id)
-    sim.next_order_id += 1
+    sim.place_order(o)
     return o
 
 
@@ -202,16 +200,18 @@ def test_reward_matches_brute_force_everywhere():
 
 @pytest.mark.parametrize("cols,rows", [(1, 1), (2, 3), (5, 5), (10, 10)])
 def test_region_tables_match_neighborhood_sums(cols, rows):
-    """The region's neighborhood matrix and slot stencils against the
-    neighborhoods, and the encoding and every move's reward read from them
-    against the slot-by-slot state and the shifted-field sum, over random
-    integer fields."""
+    """The region's neighborhood matrix, neighborhood overlaps and slot
+    stencils against the neighborhoods, and the encoding and every move's
+    reward read from them against the slot-by-slot state and the
+    shifted-field sum, over random integer fields."""
     region = offset_rect_region(cols, rows, (0,))
     n = len(region)
     matrix = region.neighborhood_matrix
     assert matrix.dtype == np.int64 and matrix.shape == (n, n)
+    hoods = [set(grid_neighborhood(region, g)) for g in range(n)]
     for g in range(n):
-        assert np.flatnonzero(matrix[g]).tolist() == sorted(grid_neighborhood(region, g))
+        assert np.flatnonzero(matrix[g]).tolist() == sorted(hoods[g])
+        assert list(region.neighborhood_overlaps[g]) == [len(hoods[g] & h) for h in hoods]
     assert region.slot_stencils.shape == (n, 2 * NUM_SLOTS, n)
     rng = np.random.default_rng(cols * rows)
     pairs = 0
