@@ -9,8 +9,9 @@ milestone that falls inside it, so decision-time state is always consistent
 with the milestones already in the past.
 
 Policies read the fleet through held courier rows (`SimState.courier_rows`):
-each courier's projected idle grid, minutes until idle and delivery-task
-count, with the dispatch action mask beside them.  The rows live from one
+each courier's projected idle grid and minutes until idle, and the dispatch
+action mask, which holds whether each courier is below the delivery-task
+cap.  The rows live from one
 minute to the next.  At the first query of a minute only two groups are
 projected again: couriers the engine marked stale (every status change marks
 one, and so do `apply_dispatch` and `apply_reallocation`), and couriers
@@ -106,14 +107,12 @@ class Courier:
 @dataclass
 class CourierRows:
     """The fleet's projection as arrays indexed by courier id: the grid where
-    each courier's queued work ends, the minutes until then (kitchen
-    estimates) and its delivery-task count.  `mask` holds the valid dispatch
-    actions: couriers below the delivery-task cap, then postponing, always
-    valid."""
+    each courier's queued work ends and the minutes until then (kitchen
+    estimates).  `mask` holds the valid dispatch actions: the couriers below
+    the delivery-task cap, then postponing, which is always valid."""
 
     grid: np.ndarray
     eta: np.ndarray
-    tasks: np.ndarray
     mask: np.ndarray
 
 
@@ -309,12 +308,11 @@ class SimState:
         clock = self.clock
         if rows is None:
             projected = [self.courier_eta_idle(c.id) for c in self.couriers]
-            tasks = np.array([c.delivery_task_count() for c in self.couriers], dtype=np.int64)
+            cap = self.config.max_delivery_tasks
             rows = self._rows = CourierRows(
                 grid=np.array([g for g, _ in projected], dtype=np.int64),
                 eta=np.array([dt for _, dt in projected], dtype=np.float64),
-                tasks=tasks,
-                mask=np.append(tasks < self.config.max_delivery_tasks, True),
+                mask=np.array([c.delivery_task_count() < cap for c in self.couriers] + [True]),
             )
             self._stale.clear()
             self._field_ok = False
@@ -345,9 +343,7 @@ class SimState:
         g, eta = self.courier_eta_idle(cid)
         rows.grid[cid] = g
         rows.eta[cid] = eta
-        tasks = self.couriers[cid].delivery_task_count()
-        rows.tasks[cid] = tasks
-        rows.mask[cid] = tasks < self.config.max_delivery_tasks
+        rows.mask[cid] = self.couriers[cid].delivery_task_count() < self.config.max_delivery_tasks
         if field is not None and eta <= ANTICIPATION_MIN:
             field[g] += 1
 

@@ -59,7 +59,7 @@ def check_against_fresh(sim: SimState, oid=None, cid=None) -> None:
     assert all(t.kind == DELIVERY for c in sim.couriers for t in c.queue[1:])
     rows = sim.courier_rows()
     grid, eta, tasks = fresh_rows(sim)
-    for held, fresh in zip((rows.grid, rows.eta, rows.tasks), (grid, eta, tasks)):
+    for held, fresh in zip((rows.grid, rows.eta), (grid, eta)):
         assert same_bits(held, fresh)
     assert same_bits(rows.mask, np.append(tasks < sim.config.max_delivery_tasks, True))
     assert same_bits(sim.idle_counts(), fresh_idle_counts(sim))
@@ -228,7 +228,6 @@ def held_state(sim: SimState) -> tuple:
     return (
         rows.grid.copy(),
         rows.eta.copy(),
-        rows.tasks.copy(),
         rows.mask.copy(),
         sim.gap_field().copy(),
         sim.idle_counts(),
