@@ -25,7 +25,12 @@ from mealtwin.scenario import default_scenario, make_rng
 from mealtwin.simcore import MODE_MYOPIC, MODE_STRATEGIC, SimState, events_to_csv
 from mealtwin.steering import SteerDdqnPolicy, apply_steer_decision
 
-from oracles import fresh_dispatch_state, fresh_gap_field, fresh_steer_state, reference_select_action
+from oracles import (
+    fresh_dispatch_state,
+    fresh_gap_field,
+    fresh_steer_state,
+    reference_select_action,
+)
 
 PINNED_NETS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
