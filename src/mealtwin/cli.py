@@ -9,22 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from functools import partial
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__
-from .dispatch import REWARD_SCALE, ConvDdqnPolicy, DispatchRewardParams, NearestIdlePolicy
+from .dispatch import REWARD_SCALE
 from .errors import ConfigError, ContractError, NumericalError
 from .evaluate import (
+    VARIANT_SETUP,
     VARIANTS,
-    RunMetrics,
     compare_frameworks,
     latency_p99,
+    load_comparison,
     run_shift,
+    run_study,
     save_comparison,
+    variant_policies,
     write_metrics_csv,
     write_pvalues_csv,
 )
@@ -55,7 +56,7 @@ from .scenario import (
     write_transactions,
 )
 from .simcore import MODE_MYOPIC, MODE_STRATEGIC, events_from_csv, events_to_csv
-from .steering import SteerDdqnPolicy
+from .steering import NUM_SLOTS, STATE_DIM
 from .trainer import TrainingPlan, sandwich_train, save_training_report, write_return_series
 
 EXPERIMENT_SCHEMA = "mealtwin-experiment/1"
@@ -65,23 +66,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# Per variant: simulation mode, dispatch weight slot (None = nearest idle),
-# steering weight slot (None = no steering).  The steered nearest-idle
-# variant reuses the strategic steering network, hence strategic mode.
-VARIANT_SETUP: Dict[str, Tuple[str, Optional[str], Optional[str]]] = {
-    "strategic": (MODE_STRATEGIC, "strategic_dispatch", None),
-    "strategic+steer": (MODE_STRATEGIC, "strategic_dispatch", "strategic_steering"),
-    "myopic": (MODE_MYOPIC, "myopic_dispatch", None),
-    "myopic+steer": (MODE_MYOPIC, "myopic_dispatch", "myopic_steering"),
-    "nearest_idle": (MODE_MYOPIC, None, None),
-    "nearest_idle+steer": (MODE_STRATEGIC, None, "strategic_steering"),
-}
-
-WEIGHT_SLOTS = (
-    "strategic_dispatch",
-    "strategic_steering",
-    "myopic_dispatch",
-    "myopic_steering",
+# The weight slots of the variant table, in table order; one flag each.
+WEIGHT_SLOTS = tuple(
+    dict.fromkeys(slot for setup in VARIANT_SETUP.values() for slot in setup[1:] if slot)
 )
 
 
@@ -93,6 +80,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _str_or_list_of(check):
+    return lambda v: _is_str(v) or (isinstance(v, list) and all(map(check, v)))
+
+
+# What experiment keys must hold: (description, check, keys).  Episodes and
+# variants may also be one comma-separated string, like their flags.
+_EXPERIMENT_TYPES = (
+    ("an integer", _is_int, ("shifts", "eval_seed", "train_seed", "workers")),
+    (
+        "a string",
+        _is_str,
+        ("scenario", "gbt_model", "history", "output_dir", "mode", "forecaster",
+         "output_activation"),
+    ),
+    ("a string or a list of integers", _str_or_list_of(_is_int), ("episodes",)),
+    ("a string or a list of strings", _str_or_list_of(_is_str), ("variants",)),
+    (
+        "an object of weight paths",
+        lambda v: isinstance(v, dict) and all(map(_is_str, v.values())),
+        ("weights",),
+    ),
+)
+
+
 def _load_experiment(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -101,8 +120,14 @@ def _load_experiment(path: Optional[str]) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"experiment config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"experiment config {path} must hold a JSON object")
     if doc.get("schema") != EXPERIMENT_SCHEMA:
         raise ConfigError(f"unsupported experiment schema: {doc.get('schema')!r}")
+    for kind, check, keys in _EXPERIMENT_TYPES:
+        for key in keys:
+            if key in doc and not check(doc[key]):
+                raise ConfigError(f"experiment key {key!r} must hold {kind}, got {doc[key]!r}")
     return doc
 
 
@@ -140,12 +165,19 @@ def _build_predictor(kind: str, config: ScenarioConfig, model_path: Optional[str
     raise ConfigError(f"unknown forecaster {kind!r}")
 
 
-def _check_dispatch_net(net: QNet, config: ScenarioConfig, path: str) -> None:
-    want = 1 + 3 * config.fleet_size
-    if net.spec.input_dim != want:
+def _check_net_shape(net: QNet, slot: str, config: ScenarioConfig, path: str) -> None:
+    """Dispatch nets map 1+3F inputs to F+1 actions for a fleet of F;
+    steering nets map the 14-value slot state to 7 slots."""
+    have = (net.spec.input_dim, net.num_actions)
+    if slot.endswith("dispatch"):
+        fleet = config.fleet_size
+        want, needs = (1 + 3 * fleet, fleet + 1), f"the scenario fleet of {fleet} needs"
+    else:
+        want, needs = (STATE_DIM, NUM_SLOTS), "steering needs"
+    if have != want:
         raise ConfigError(
-            f"dispatch weights {path} expect input {net.spec.input_dim}, "
-            f"scenario fleet needs {want}"
+            f"{slot} weights {path} map {have[0]} inputs to {have[1]} actions; "
+            f"{needs} {want[0]} -> {want[1]}"
         )
 
 
@@ -266,24 +298,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _policies_for(
-    variant: str,
-    nets: Dict[str, QNet],
-    dispatch_trace: Optional[list] = None,
-    steer_trace: Optional[list] = None,
-):
-    mode, dispatch_slot, steer_slot = VARIANT_SETUP[variant]
-    params = DispatchRewardParams()
-    if dispatch_slot is None:
-        dispatch_policy = NearestIdlePolicy(params, trace=dispatch_trace)
-    else:
-        dispatch_policy = ConvDdqnPolicy(nets[dispatch_slot], params, trace=dispatch_trace)
-    steer_policy = None
-    if steer_slot is not None:
-        steer_policy = SteerDdqnPolicy(nets[steer_slot], trace=steer_trace)
-    return mode, dispatch_policy, steer_policy
-
-
 def _load_variant_nets(
     variants: Sequence[str], weight_paths: Dict[str, Optional[str]], config: ScenarioConfig
 ) -> Dict[str, QNet]:
@@ -297,8 +311,7 @@ def _load_variant_nets(
             if not path:
                 raise ConfigError(f"variant {variant!r} needs --{slot.replace('_', '-')}")
             net, _ = load_qnet(Path(path))
-            if slot.endswith("dispatch"):
-                _check_dispatch_net(net, config, path)
+            _check_net_shape(net, slot, config, path)
             nets[slot] = net
     return nets
 
@@ -318,7 +331,7 @@ def cmd_simulate(args) -> int:
     nets = _load_variant_nets([args.variant], weight_paths, config)
     dispatch_trace: Optional[list] = [] if args.dispatch_trace else None
     steer_trace: Optional[list] = [] if args.steer_trace else None
-    mode, dispatch_policy, steer_policy = _policies_for(
+    mode, dispatch_policy, steer_policy = variant_policies(
         args.variant, nets, dispatch_trace, steer_trace
     )
     predictor = None
@@ -353,46 +366,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-class _Study(NamedTuple):
-    """What every shift of an evaluation study shares."""
-
-    config: ScenarioConfig
-    nets: Dict[str, QNet]
-    predictor: object
-    eval_seed: int
-
-
-def _evaluate_shift(study: _Study, task: Tuple[str, int]) -> Tuple[RunMetrics, List[float]]:
-    """One variant on one shift of the study; module-level so a process pool
-    can run it."""
-    variant, shift = task
-    mode, dispatch_policy, steer_policy = _policies_for(variant, study.nets)
-    result = run_shift(
-        study.config,
-        mode,
-        dispatch_policy,
-        steer_policy,
-        study.predictor if mode == MODE_STRATEGIC else None,
-        seed_key=(study.eval_seed, shift),
-        variant=variant,
-        run_id=shift,
-    )
-    return result.metrics, result.latencies
-
-
-def _metrics_from_dict(doc: dict) -> RunMetrics:
-    """A run as `save_comparison` wrote it; null stands for NaN."""
-    doc = {k: float("nan") if v is None else v for k, v in doc.items()}
-    for key in (
-        "courier_delivery_minutes",
-        "courier_idle_minutes",
-        "courier_served",
-        "courier_distance",
-    ):
-        doc[key] = tuple(doc[key])
-    return RunMetrics(**doc)
-
-
 def cmd_evaluate(args) -> int:
     experiment = _load_experiment(args.config)
     scenario_path = _pick(args.scenario, experiment, "scenario", None)
@@ -425,27 +398,7 @@ def cmd_evaluate(args) -> int:
         _build_predictor(forecaster, config, gbt_model, history) if needs_predictor else None
     )
 
-    # Policies without a learner are stateless, so building them per task
-    # draws nothing: results are the same in any order and any process.
-    evaluate_shift = partial(_evaluate_shift, _Study(config, nets, predictor, eval_seed))
-    tasks = [(v, i) for v in variants for i in range(shifts)]
-    if workers > 1:
-        # Imported here: serial runs, the common case, never pay for the pool.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # One chunk per worker, so each worker unpickles the study once.
-        chunksize = max(1, math.ceil(len(tasks) / workers))
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-            results = list(pool.map(evaluate_shift, tasks, chunksize=chunksize))
-    else:
-        results = map(evaluate_shift, tasks)
-    runs: Dict[str, List[RunMetrics]] = {v: [] for v in variants}
-    latencies: Dict[str, List[float]] = {v: [] for v in variants}
-    for (v, _), (metrics, lat) in zip(tasks, results):
-        runs[v].append(metrics)
-        latencies[v].extend(lat)
+    runs, latencies = run_study(config, variants, nets, predictor, eval_seed, shifts, workers)
     report = compare_frameworks(runs, variants=variants)
     save_comparison(outdir / "comparison.json", report)
     write_metrics_csv(outdir / "metrics.csv", report)
@@ -548,17 +501,7 @@ def cmd_snapshot(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.comparison) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"comparison file is not valid JSON: {exc}") from exc
-    if doc.get("schema") != "mealtwin-comparison/1":
-        raise ConfigError(f"unsupported comparison schema: {doc.get('schema')!r}")
-    runs = {
-        v: [_metrics_from_dict(r) for r in rows] for v, rows in doc.get("runs", {}).items()
-    }
-    report = compare_frameworks(runs, variants=doc["variants"])
+    report = load_comparison(Path(args.comparison))
     if args.metrics_csv:
         write_metrics_csv(Path(args.metrics_csv), report)
     if args.pvalues_csv:

@@ -14,36 +14,37 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dispatch import ConvDdqnPolicy, DispatchRewardParams, NearestIdlePolicy
 from .errors import ConfigError, ContractError
+from .rlcore import QNet
 from .scenario import ScenarioConfig
-from .simcore import Event, SimState
+from .simcore import MODE_MYOPIC, MODE_STRATEGIC, Event, SimState
+from .steering import SteerDdqnPolicy
 
 logger = logging.getLogger(__name__)
 
 COMPARISON_SCHEMA = "mealtwin-comparison/1"
 
-# The six framework variants of the comparison study.  Steered nearest-idle
-# borrows the strategic steering network and therefore runs in strategic mode.
-VARIANT_STRATEGIC = "strategic"
-VARIANT_STRATEGIC_STEER = "strategic+steer"
-VARIANT_MYOPIC = "myopic"
-VARIANT_MYOPIC_STEER = "myopic+steer"
-VARIANT_NEAREST = "nearest_idle"
-VARIANT_NEAREST_STEER = "nearest_idle+steer"
-VARIANTS = (
-    VARIANT_STRATEGIC,
-    VARIANT_STRATEGIC_STEER,
-    VARIANT_MYOPIC,
-    VARIANT_MYOPIC_STEER,
-    VARIANT_NEAREST,
-    VARIANT_NEAREST_STEER,
-)
+# The six framework variants of the comparison study.  Per variant:
+# simulation mode, dispatch weight slot (None = nearest idle), steering
+# weight slot (None = no steering).  The steered nearest-idle variant reuses
+# the strategic steering network, hence strategic mode.
+VARIANT_SETUP: Dict[str, Tuple[str, Optional[str], Optional[str]]] = {
+    "strategic": (MODE_STRATEGIC, "strategic_dispatch", None),
+    "strategic+steer": (MODE_STRATEGIC, "strategic_dispatch", "strategic_steering"),
+    "myopic": (MODE_MYOPIC, "myopic_dispatch", None),
+    "myopic+steer": (MODE_MYOPIC, "myopic_dispatch", "myopic_steering"),
+    "nearest_idle": (MODE_MYOPIC, None, None),
+    "nearest_idle+steer": (MODE_STRATEGIC, None, "strategic_steering"),
+}
+VARIANTS = tuple(VARIANT_SETUP)
 
 MIN_RUNS_FOR_EXCLUSION = 20
 
@@ -193,6 +194,75 @@ def run_shift(
     sim.run(timed_dispatch, timed_steer)
     metrics = compute_metrics(sim.events, config.fleet_size, variant, run_id)
     return ShiftResult(metrics=metrics, latencies=latencies, events=sim.events)
+
+
+def variant_policies(
+    variant: str,
+    nets: Dict[str, QNet],
+    dispatch_trace: Optional[list] = None,
+    steer_trace: Optional[list] = None,
+):
+    """Simulation mode, dispatch policy and steering policy (None without
+    steering) of a variant; `nets` maps its weight slots to loaded nets."""
+    mode, dispatch_slot, steer_slot = VARIANT_SETUP[variant]
+    params = DispatchRewardParams()
+    if dispatch_slot is None:
+        dispatch_policy = NearestIdlePolicy(params, trace=dispatch_trace)
+    else:
+        dispatch_policy = ConvDdqnPolicy(nets[dispatch_slot], params, trace=dispatch_trace)
+    steer_policy = SteerDdqnPolicy(nets[steer_slot], trace=steer_trace) if steer_slot else None
+    return mode, dispatch_policy, steer_policy
+
+
+def _study_shift(
+    config: ScenarioConfig, nets: Dict[str, QNet], predictor, eval_seed: int, task: Tuple[str, int]
+) -> Tuple[RunMetrics, List[float]]:
+    """One (variant, shift) task of `run_study`; module-level so a process
+    pool can run it."""
+    variant, shift = task
+    mode, dispatch_policy, steer_policy = variant_policies(variant, nets)
+    if mode != MODE_STRATEGIC:
+        predictor = None
+    # Shift i runs under seed key (eval_seed, i) and is run i of its variant.
+    result = run_shift(
+        config, mode, dispatch_policy, steer_policy, predictor, (eval_seed, shift), variant, shift
+    )
+    return result.metrics, result.latencies
+
+
+def run_study(
+    config: ScenarioConfig,
+    variants: Sequence[str],
+    nets: Dict[str, QNet],
+    predictor,
+    eval_seed: int,
+    shifts: int,
+    workers: int = 1,
+) -> Tuple[Dict[str, List[RunMetrics]], Dict[str, List[float]]]:
+    """Each variant's runs on matched shifts 0..shifts-1 and its decision
+    latencies (seconds); strategic-mode variants get the predictor.  Policies
+    without a learner are stateless, so the results are the same in any order
+    and in any process: `workers` > 1 runs the shifts on a spawned pool."""
+    study_shift = partial(_study_shift, config, nets, predictor, eval_seed)
+    tasks = [(v, i) for v in variants for i in range(shifts)]
+    if workers > 1:
+        # Imported here: serial runs, the common case, never pay for the pool.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # One chunk per worker, so each worker unpickles the study once.
+        chunksize = max(1, math.ceil(len(tasks) / workers))
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            results = list(pool.map(study_shift, tasks, chunksize=chunksize))
+    else:
+        results = map(study_shift, tasks)
+    runs: Dict[str, List[RunMetrics]] = {v: [] for v in variants}
+    latencies: Dict[str, List[float]] = {v: [] for v in variants}
+    for (v, _), (metrics, lat) in zip(tasks, results):
+        runs[v].append(metrics)
+        latencies[v].extend(lat)
+    return runs, latencies
 
 
 def exclude_outliers(runs: List[RunMetrics]) -> Tuple[List[RunMetrics], List[int]]:
@@ -383,6 +453,55 @@ def save_comparison(path: Path, report: ComparisonReport) -> None:
             _nan_to_null(comparison_to_dict(report)), fh, sort_keys=True, indent=1, allow_nan=False
         )
         fh.write("\n")
+
+
+_RUN_FIELDS = frozenset(f.name for f in fields(RunMetrics))
+_RUN_SEQUENCES = (
+    "courier_delivery_minutes",
+    "courier_idle_minutes",
+    "courier_served",
+    "courier_distance",
+)
+
+
+def _run_from_dict(doc) -> RunMetrics:
+    """A run as `save_comparison` wrote it; null stands for NaN."""
+    have = set(doc) if isinstance(doc, dict) else set()
+    if have != _RUN_FIELDS:
+        raise ConfigError(
+            "comparison run must hold exactly the run fields; "
+            f"missing {sorted(_RUN_FIELDS - have)}, unknown {sorted(have - _RUN_FIELDS)}"
+        )
+    run = {"variant": str(doc["variant"])}
+    for key in _RUN_FIELDS - {"variant"}:
+        value = float("nan") if doc[key] is None else doc[key]
+        numbers = value if key in _RUN_SEQUENCES else [value]
+        if not isinstance(numbers, list) or not all(isinstance(x, (int, float)) for x in numbers):
+            raise ConfigError(f"comparison run field {key!r} must hold numbers, got {value!r}")
+        run[key] = tuple(value) if key in _RUN_SEQUENCES else value
+    return RunMetrics(**run)
+
+
+def load_comparison(path: Path) -> ComparisonReport:
+    """The comparison of a file `save_comparison` wrote, recomputed from its
+    runs.  A file of another shape raises ConfigError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"comparison file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("comparison file must hold a JSON object")
+    if doc.get("schema") != COMPARISON_SCHEMA:
+        raise ConfigError(f"unsupported comparison schema: {doc.get('schema')!r}")
+    variants, runs = doc.get("variants"), doc.get("runs")
+    if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
+        raise ConfigError("comparison file needs 'variants', a list of names")
+    if not isinstance(runs, dict) or not all(isinstance(rows, list) for rows in runs.values()):
+        raise ConfigError("comparison file needs 'runs', a list of runs per variant")
+    return compare_frameworks(
+        {v: [_run_from_dict(r) for r in rows] for v, rows in runs.items()}, variants=variants
+    )
 
 
 def write_metrics_csv(path: Path, report: ComparisonReport) -> None:

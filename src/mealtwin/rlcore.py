@@ -3,8 +3,11 @@
 Value networks are small dense stacks, optionally fronted by a shared
 courier-embedding layer: a single weight triple applied window-3/stride-3
 without bias across the courier section of the input, producing one scalar
-embedding per courier.  Forward, backward, Adam, replay and the double-network
-TD update are all implemented here; no autograd framework is involved.
+embedding per courier.  Forward, backward, Adam, replay and the TD update are
+all implemented here; no autograd framework is involved.  The TD target takes
+the frozen target net's masked max over the next state (the Nature-DQN
+target), not the double-DQN target, where the online net picks the action;
+ROADMAP item 2 plans that change.
 
 Replay is a ring of preallocated arrays, one per transition field: a push
 writes one row, and a sample gathers every field at one draw of row indices

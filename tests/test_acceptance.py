@@ -19,13 +19,8 @@ import numpy as np
 import pytest
 
 from mealtwin.cli import main as cli_main
-from mealtwin.dispatch import (
-    ConvDdqnPolicy,
-    DispatchRewardParams,
-    NearestIdlePolicy,
-    reward_assign,
-)
-from mealtwin.evaluate import compare_frameworks, latency_p99, run_shift
+from mealtwin.dispatch import DispatchRewardParams, NearestIdlePolicy, reward_assign
+from mealtwin.evaluate import compare_frameworks, latency_p99, run_study
 from mealtwin.forecast import (
     OracleDemand,
     build_training_sets,
@@ -43,12 +38,7 @@ from mealtwin.scenario import (
     synth_history,
 )
 from mealtwin.simcore import MODE_MYOPIC, MODE_STRATEGIC, SimState
-from mealtwin.steering import (
-    SteerDdqnPolicy,
-    apply_steer_decision,
-    reward_reallocate,
-    slot_target,
-)
+from mealtwin.steering import apply_steer_decision, reward_reallocate, slot_target
 from mealtwin.trainer import TrainingPlan, sandwich_train
 
 from oracles import (
@@ -433,32 +423,14 @@ def test_forecaster_holdout():
 def study():
     config = default_scenario(seed=0)
     predictor = OracleDemand(config)
-    params = DispatchRewardParams()
     plan = active_plan()
-
-    def evaluate_variant(name, mode, dispatch_net, steering_net, pred):
-        runs, latencies = [], []
-        for i in range(EVAL_SHIFTS):
-            dispatch = (
-                NearestIdlePolicy(params)
-                if dispatch_net is None
-                else ConvDdqnPolicy(dispatch_net, params)
-            )
-            steer = None if steering_net is None else SteerDdqnPolicy(steering_net)
-            result = run_shift(
-                config, mode, dispatch, steer, pred,
-                seed_key=(EVAL_SEED, i), variant=name, run_id=i,
-            )
-            runs.append(result.metrics)
-            latencies.extend(result.latencies)
-        return runs, latencies
 
     def aggregates(runs):
         report = compare_frameworks({"v": runs}, variants=("v",))
         return {name: cell["avg"] for name, cell in report.aggregates["v"].items()}
 
     ni_started = time.perf_counter()
-    ni_runs, ni_latencies = evaluate_variant("nearest_idle", MODE_MYOPIC, None, None, None)
+    ni_runs, ni_latencies = run_study(config, ["nearest_idle"], {}, None, EVAL_SEED, EVAL_SHIFTS)
     ni_seconds = time.perf_counter() - ni_started
 
     seeds = {}
@@ -469,24 +441,30 @@ def study():
         myo_d, _myo_s, _ = sandwich_train(
             TrainingPlan(episodes=plan, seed=seed, mode=MODE_MYOPIC), config, None
         )
-        strategic_runs, strategic_lat = evaluate_variant(
-            "strategic", MODE_STRATEGIC, strat_d, None, predictor
-        )
-        myopic_runs, _ = evaluate_variant("myopic", MODE_MYOPIC, myo_d, None, None)
-        steered_runs, steered_lat = evaluate_variant(
-            "strategic+steer", MODE_STRATEGIC, strat_d, strat_s, predictor
+        nets = {
+            "strategic_dispatch": strat_d,
+            "strategic_steering": strat_s,
+            "myopic_dispatch": myo_d,
+        }
+        runs, latencies = run_study(
+            config,
+            ["strategic", "myopic", "strategic+steer"],
+            nets,
+            predictor,
+            EVAL_SEED,
+            EVAL_SHIFTS,
         )
         seeds[seed] = SimpleNamespace(
-            strategic=aggregates(strategic_runs),
-            myopic=aggregates(myopic_runs),
-            steered=aggregates(steered_runs),
-            latencies=strategic_lat + steered_lat,
+            strategic=aggregates(runs["strategic"]),
+            myopic=aggregates(runs["myopic"]),
+            steered=aggregates(runs["strategic+steer"]),
+            latencies=latencies["strategic"] + latencies["strategic+steer"],
         )
     return SimpleNamespace(
         plan=plan,
-        ni=aggregates(ni_runs),
+        ni=aggregates(ni_runs["nearest_idle"]),
         ni_seconds=ni_seconds,
-        ni_latencies=ni_latencies,
+        ni_latencies=ni_latencies["nearest_idle"],
         seeds=seeds,
     )
 

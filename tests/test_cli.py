@@ -11,7 +11,7 @@ import pytest
 from mealtwin import cli
 from mealtwin.cli import EXPERIMENT_SCHEMA, main
 from mealtwin.errors import NumericalError
-from mealtwin.rlcore import load_qnet
+from mealtwin.rlcore import ACT_LINEAR, ACT_RELU, NetSpec, QNet, load_qnet, save_qnet
 from mealtwin.scenario import default_scenario, load_scenario, save_scenario
 from mealtwin.simcore import events_from_csv
 
@@ -197,6 +197,32 @@ def test_experiment_config_supplies_defaults(workspace, tmp_path, capsys):
     assert main(["train", "--config", str(bad)]) == 2
     bad.write_text("{not json")
     assert main(["train", "--config", str(bad)]) == 2
+    bad.write_text(json.dumps([{"schema": EXPERIMENT_SCHEMA}]))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(bad)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("evaluate", "shifts", "3"),
+        ("evaluate", "workers", "2"),
+        ("evaluate", "variants", 5),
+        ("evaluate", "eval_seed", "x"),
+        ("evaluate", "weights", {"myopic_dispatch": 1}),
+        ("train", "train_seed", "a"),
+        ("train", "episodes", [1, "1", 1]),
+        ("train", "scenario", 7),
+    ],
+)
+def test_experiment_config_rejects_wrong_types(workspace, tmp_path, capsys, command, key, value):
+    config_path = tmp_path / "experiment.json"
+    doc = {"schema": EXPERIMENT_SCHEMA, "scenario": str(workspace / "scenario.json")}
+    config_path.write_text(json.dumps({**doc, key: value}))
+    assert main([command, "--config", str(config_path), "--outdir", str(tmp_path)]) == 2
+    assert f"experiment key {key!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config_path]
 
 
 def test_simulate_nearest_idle(workspace, tmp_path, capsys):
@@ -279,6 +305,31 @@ def test_weight_fleet_mismatch(workspace, tmp_path, capsys):
     )
     assert code == 2
     assert "fleet" in capsys.readouterr().err
+
+    # Nets of the wrong action count or input width are refused at load,
+    # before any shift runs, not mid-shift.
+    scenario = str(workspace / "scenario.json")
+    fleet = load_scenario(workspace / "scenario.json").fleet_size
+    relu, linear = ACT_RELU, ACT_LINEAR
+    short_dispatch = NetSpec(
+        1 + 3 * fleet, (32, fleet), (relu, linear), head_dim=1, embed_groups=fleet
+    )
+    short_steering = NetSpec(14, (32, 16, 5), (relu, relu, linear))
+    narrow_steering = NetSpec(10, (32, 16, 7), (relu, relu, linear))
+    bad_nets = [
+        ("myopic", "--myopic-dispatch", short_dispatch),
+        ("nearest_idle+steer", "--strategic-steering", short_steering),
+        ("nearest_idle+steer", "--strategic-steering", narrow_steering),
+    ]
+    for i, (variant, flag, spec) in enumerate(bad_nets):
+        weights = tmp_path / f"bad{i}.json"
+        save_qnet(weights, QNet(spec))
+        events = tmp_path / f"bad{i}.csv"
+        args = ["--variant", variant, "--events-out", str(events), flag, str(weights)]
+        assert main(["simulate", "--scenario", scenario, *args]) == 2
+        err = capsys.readouterr().err
+        assert "needs" in err and "Traceback" not in err
+        assert not events.exists()
 
 
 def test_shift_past_midnight_exits_2(tmp_path, capsys):
@@ -482,13 +533,30 @@ def test_zero_demand_study_writes_strict_json(tmp_path, capsys):
     assert (tmp_path / "metrics.csv").read_bytes() == (outdir / "metrics.csv").read_bytes()
 
 
-def test_report_rejects_bad_files(tmp_path, capsys):
+def test_report_rejects_bad_files(evaluated, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "nope"}))
     assert main(["report", "--comparison", str(bad)]) == 2
     bad.write_text("{oops")
     assert main(["report", "--comparison", str(bad)]) == 2
     assert main(["report", "--comparison", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+
+    # Well-formed JSON of the wrong shape exits 2 with a message.
+    good = json.loads((evaluated / "comparison.json").read_text())
+    first = good["runs"]["myopic"][0]
+
+    def with_run(run):
+        return {**good, "runs": {**good["runs"], "myopic": [run]}}
+
+    no_variants = {k: v for k, v in good.items() if k != "variants"}
+    short_run = {k: v for k, v in first.items() if k != "courier_delivery_minutes"}
+    text_gap = {**first, "gap_mean": "x"}
+    for doc in (no_variants, with_run(short_run), with_run(text_gap), [good]):
+        bad.write_text(json.dumps(doc))
+        assert main(["report", "--comparison", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "comparison" in err and "Traceback" not in err
 
 
 def test_synth_history_and_forecast_eval(workspace, tmp_path, capsys):

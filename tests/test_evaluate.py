@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mealtwin.dispatch import NearestIdlePolicy
+import mealtwin.cli
+import mealtwin.evaluate
+from mealtwin.dispatch import ConvDdqnPolicy, DispatchRewardParams, NearestIdlePolicy
 from mealtwin.errors import ConfigError, ContractError
 from mealtwin.evaluate import (
     COMPARISON_SCHEMA,
@@ -28,11 +30,13 @@ from mealtwin.evaluate import (
     mann_whitney_u,
     pooled_gap_stats,
     run_shift,
+    run_study,
     save_comparison,
     write_metrics_csv,
     write_pvalues_csv,
 )
-from mealtwin.scenario import default_scenario
+from mealtwin.rlcore import dispatch_qnet
+from mealtwin.scenario import default_scenario, make_rng
 from mealtwin.simcore import MODE_MYOPIC, Event, events_from_csv, events_to_csv
 
 
@@ -318,6 +322,43 @@ def test_variant_names_frozen():
         "nearest_idle",
         "nearest_idle+steer",
     )
+
+
+def test_cli_reads_the_variant_table():
+    """The CLI, and the benchmark through it, use this module's table; the
+    weight flags follow its slots in table order."""
+    assert mealtwin.cli.VARIANT_SETUP is mealtwin.evaluate.VARIANT_SETUP
+    assert mealtwin.cli.WEIGHT_SLOTS == (
+        "strategic_dispatch",
+        "strategic_steering",
+        "myopic_dispatch",
+        "myopic_steering",
+    )
+
+
+def test_run_study_matches_shift_by_shift_runs():
+    config = default_scenario(seed=0)
+    nets = {"myopic_dispatch": dispatch_qnet(config.fleet_size, rng=make_rng(3))}
+    params = DispatchRewardParams()
+    dispatchers = {
+        "nearest_idle": lambda: NearestIdlePolicy(params),
+        "myopic": lambda: ConvDdqnPolicy(nets["myopic_dispatch"], params),
+    }
+    variants = tuple(dispatchers)
+    runs, latencies = run_study(config, variants, nets, None, eval_seed=77, shifts=2)
+    assert list(runs) == list(variants) and list(latencies) == list(variants)
+    for variant in variants:
+        assert [r.run_id for r in runs[variant]] == [0, 1]
+        expected_latencies = []
+        for i, run in enumerate(runs[variant]):
+            result = run_shift(
+                config, MODE_MYOPIC, dispatchers[variant](), None, None,
+                seed_key=(77, i), variant=variant, run_id=i,
+            )
+            # JSON text, so that a NaN statistic compares equal to itself.
+            assert json.dumps(run.to_dict()) == json.dumps(result.metrics.to_dict())
+            expected_latencies += result.latencies
+        assert len(latencies[variant]) == len(expected_latencies)
 
 
 def test_latency_p99_nearest_rank():
