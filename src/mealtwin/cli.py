@@ -388,6 +388,8 @@ def cmd_evaluate(args) -> int:
     gbt_model = _pick(args.gbt_model, experiment, "gbt_model", None)
     history = _pick(args.history, experiment, "history", None)
     workers = _pick(args.workers, experiment, "workers", 1)
+    if shifts < 1 or workers < 1:
+        raise ConfigError(f"evaluate needs shifts and workers >= 1, got {shifts} and {workers}")
     outdir = Path(_pick(args.outdir, experiment, "output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -5,6 +5,13 @@ plus four lagged 15-minute order counts to the order count of the next 15
 minutes.  Windowed counts y(t1, t2) with t1 > t2 cover the half-open interval
 (t2, t1]: an order stamped exactly at t-15 belongs to the second lag window,
 not the first.
+
+`GbtDemand` memoizes its clamped forecast per feature row (grid, hour, four lag
+counts; the weekday is fixed), a pure function of the row alone.  Whole lag
+counts below 2**LAG_BITS pack with grid and hour into one exact int64 key; any
+other row is walked and not stored.  The memo holds at most MEMO_ROWS rows and
+is cleared when full.  Matched shifts replay the same counts under every
+strategic-mode variant, so a study walks each distinct row once.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ WINDOW_MIN = 15
 # Feature vector layout.
 F_DOW, F_HOUR, F_LAG1 = 0, 1, 2
 NUM_FEATURES = 2 + NUM_LAGS
+# GbtDemand's memo: rows held before it is cleared, and the bits per lag count
+# in its keys.
+MEMO_ROWS = 1 << 15
+LAG_BITS = 10
 
 
 def lag_window_counts(counts: np.ndarray, minute: int) -> np.ndarray:
@@ -357,19 +368,43 @@ class GbtDemand:
         grids = [g for g in config.region.restaurant_ids if g in models]
         self._grids = np.array(grids, dtype=np.intp)
         self._forest = PackedForest([models[g] for g in grids])
+        # Key = ((slot * 24 + hour) << 4 * LAG_BITS) + packed lags, in int64.
+        self._keyable = len(grids) * 24 < 1 << (63 - NUM_LAGS * LAG_BITS)
+        self._slot_keys = np.arange(len(grids), dtype=np.int64) * (24 << NUM_LAGS * LAG_BITS)
+        self._lag_weights = 1 << LAG_BITS * np.arange(NUM_LAGS, dtype=np.int64)
+        self._memo: Dict[int, float] = {}
 
     def predict(self, minute: int, counts: Optional[np.ndarray]) -> np.ndarray:
         """Clamped 15-minute forecast of every grid, indexed by grid id; grids
-        without a model get zero."""
+        without a model get zero.  Rows in the memo are not walked again."""
         if counts is None:
             raise ConfigError("gbt demand prediction needs the current shift counts")
-        X = np.empty((len(self._grids), NUM_FEATURES), dtype=np.float64)
-        X[:, F_DOW] = DEFAULT_SHIFT_WEEKDAY
-        X[:, F_HOUR] = self._config.hour_at(minute)
-        X[:, F_LAG1:] = lag_window_counts(counts[self._grids], minute)
+        hour = self._config.hour_at(minute)
+        lags = lag_window_counts(counts[self._grids], minute)
+        fits = ((lags == np.floor(lags)) & (lags >= 0) & (lags < 1 << LAG_BITS)).all(axis=1)
+        fits &= self._keyable and 0 <= hour < 24
+        codes = np.where(fits[:, None], lags, 0).astype(np.int64) @ self._lag_weights
+        # A row that does not fit gets key -1, which is never stored; hour % 24
+        # only keeps the discarded keys of other hours inside int64.
+        base = self._slot_keys + (hour % 24 << NUM_LAGS * LAG_BITS)
+        keys = np.where(fits, base + codes, -1).tolist()
+        memo = self._memo
+        values = [memo.get(k) for k in keys]
+        if None in values:
+            miss = [i for i, v in enumerate(values) if v is None]
+            X = np.empty((len(miss), NUM_FEATURES), dtype=np.float64)
+            X[:, F_DOW] = DEFAULT_SHIFT_WEEKDAY
+            X[:, F_HOUR] = hour
+            X[:, F_LAG1:] = lags[miss]
+            raw = self._forest.raw_predict(X, np.array(miss, dtype=np.intp))
+            for i, v in zip(miss, np.maximum(raw, 0.0).tolist()):
+                values[i] = v
+                if keys[i] >= 0:
+                    if len(memo) >= MEMO_ROWS:
+                        memo.clear()
+                    memo[keys[i]] = v
         demand = np.zeros(len(self._config.region), dtype=np.float64)
-        raw = self._forest.raw_predict(X, np.arange(len(self._grids)))
-        demand[self._grids] = np.maximum(raw, 0.0)
+        demand[self._grids] = values
         return demand
 
 

@@ -225,6 +225,24 @@ def test_experiment_config_rejects_wrong_types(workspace, tmp_path, capsys, comm
     assert list(tmp_path.iterdir()) == [config_path]
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [("shifts", 0), ("shifts", -3), ("workers", 0), ("workers", -2)])
+def test_evaluate_refuses_counts_below_one(workspace, tmp_path, capsys, source, key, value):
+    scenario = str(workspace / "scenario.json")
+    outdir = tmp_path / "out"
+    argv = ["evaluate", "--variants", "nearest_idle", "--outdir", str(outdir)]
+    if source == "flag":
+        argv += ["--scenario", scenario, f"--{key}", str(value)]
+    else:
+        config_path = tmp_path / "experiment.json"
+        doc = {"schema": EXPERIMENT_SCHEMA, "scenario": scenario, key: value}
+        config_path.write_text(json.dumps(doc))
+        argv += ["--config", str(config_path)]
+    assert main(argv) == 2
+    assert "shifts and workers >= 1" in capsys.readouterr().err
+    assert not outdir.exists()  # refused before any shift ran
+
+
 def test_simulate_nearest_idle(workspace, tmp_path, capsys):
     events_out = tmp_path / "events.csv"
     trace = tmp_path / "trace.csv"

@@ -32,10 +32,12 @@ from mealtwin.evaluate import (
     run_shift,
     run_study,
     save_comparison,
+    variant_policies,
     write_metrics_csv,
     write_pvalues_csv,
 )
-from mealtwin.rlcore import dispatch_qnet
+from mealtwin.forecast import OracleDemand
+from mealtwin.rlcore import dispatch_qnet, steering_qnet
 from mealtwin.scenario import default_scenario, make_rng
 from mealtwin.simcore import MODE_MYOPIC, Event, events_from_csv, events_to_csv
 
@@ -311,6 +313,31 @@ def test_comparison_serialization(tmp_path):
     plines = pvals.read_text().splitlines()
     assert plines[0] == "variant_a,variant_b,p_value"
     assert plines[1].startswith("a,b,")
+
+
+def test_every_variant_sees_the_same_orders():
+    """Common random numbers: under one seed key all six variants place the
+    same orders, whatever their policies do.  Mann-Whitney's matched design
+    and the forecaster's memo hits across variants rest on it."""
+    config = default_scenario(seed=4)
+    nets = {
+        "strategic_dispatch": dispatch_qnet(config.fleet_size, rng=make_rng(1)),
+        "strategic_steering": steering_qnet(rng=make_rng(2)),
+        "myopic_dispatch": dispatch_qnet(config.fleet_size, rng=make_rng(3)),
+        "myopic_steering": steering_qnet(rng=make_rng(4)),
+    }
+    for shift in (0, 1, 5):
+        placed = {}
+        for variant in VARIANTS:
+            mode, dispatch_policy, steer_policy = variant_policies(variant, nets)
+            result = run_shift(
+                config, mode, dispatch_policy, steer_policy, OracleDemand(config), (31, shift)
+            )
+            placed[variant] = [
+                (e.minute, e.entity, e.detail) for e in result.events if e.event == "placed"
+            ]
+        assert placed["strategic"], "a shift without orders shows nothing"
+        assert all(p == placed["strategic"] for p in placed.values()), shift
 
 
 def test_variant_names_frozen():

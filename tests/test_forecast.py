@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mealtwin import forecast
 from mealtwin.errors import ConfigError
+from mealtwin.evaluate import run_study
 from mealtwin.forecast import (
     F_DOW,
     F_HOUR,
@@ -16,6 +18,7 @@ from mealtwin.forecast import (
     GBTParams,
     GbtDemand,
     OracleDemand,
+    PackedForest,
     build_training_sets,
     evaluate,
     lag_window_counts,
@@ -26,7 +29,14 @@ from mealtwin.forecast import (
     train_demand_models,
     train_gbt,
 )
-from mealtwin.scenario import TransactionRecord, default_scenario, make_rng, synth_history
+from mealtwin.rlcore import dispatch_qnet, steering_qnet
+from mealtwin.scenario import (
+    DEFAULT_SHIFT_WEEKDAY,
+    TransactionRecord,
+    default_scenario,
+    make_rng,
+    synth_history,
+)
 
 from oracles import build_features, ensemble_predict, grid_forecasts, reference_train_gbt
 
@@ -290,6 +300,84 @@ def test_packed_predict_bitwise_matches_scalar_walk(tmp_path):
     assert loaded[19].raw_predict_batch(probe).max() < 0
 
 
+def _memo_case(seed: int):
+    """A predictor over random ensembles that split on the hour (19 or 20,
+    the default shift's hours) and on the lags, a fresh packed forest of
+    the same models, and a counter of the rows the predictor walks."""
+    config = default_scenario()
+    rng = make_rng(seed)
+    grids = (7, 8, 12, 14, 19)
+    models = {g: _random_ensemble(rng, 8, 3, -6.0 if g == 19 else 0.0) for g in grids}
+    predictor = GbtDemand(models, config)
+    walked = []
+    walk = predictor._forest.raw_predict
+    predictor._forest.raw_predict = lambda X, which: walked.append(len(X)) or walk(X, which)
+    return config, predictor, PackedForest([models[g] for g in grids]), np.array(grids), walked
+
+
+def _fresh_walk(config, forest, grids, minute, counts):
+    X = np.empty((len(grids), 6))
+    X[:, F_DOW] = DEFAULT_SHIFT_WEEKDAY
+    X[:, F_HOUR] = config.hour_at(minute)
+    X[:, F_LAG1:] = lag_window_counts(counts[grids], minute)
+    demand = np.zeros(len(config.region))
+    demand[grids] = np.maximum(forest.raw_predict(X, np.arange(len(grids))), 0.0)
+    return demand
+
+
+def test_gbt_memo_is_bitwise_exact_and_walks_each_row_once():
+    config, predictor, forest, grids, walked = _memo_case(5)
+    rng = make_rng(6)
+    counts = rng.poisson(0.3, (25, 120)).astype(np.float64)
+    minutes = [0, 14, 15, 59, 60, 61, 119, *rng.integers(0, 120, 30).tolist()]
+    assert {config.hour_at(m) for m in minutes} == {19, 20}
+    for _ in range(3):
+        for minute in minutes:
+            demand = predictor.predict(minute, counts)
+            assert demand.tobytes() == _fresh_walk(config, forest, grids, minute, counts).tobytes()
+    # Every row was walked on the first pass alone, and at most once.
+    distinct = {
+        (g, config.hour_at(m), *lag_window_counts(counts[g], m).tolist())
+        for m in minutes for g in grids
+    }
+    assert sum(walked) == len(distinct) == len(predictor._memo)
+    # The same lags in two hours are two rows: an empty shift at minutes 0
+    # and 60 walks each grid twice, and the hour changes some forecasts.
+    empty = np.zeros((25, 120))
+    fresh = [_fresh_walk(config, forest, grids, m, empty) for m in (0, 60)]
+    assert [predictor.predict(m, empty).tobytes() for m in (0, 60)] == [f.tobytes() for f in fresh]
+    assert fresh[0].tobytes() != fresh[1].tobytes()
+
+
+@pytest.mark.parametrize("value", [0.5, -50.0, 1024.0, np.inf, np.nan])
+def test_gbt_memo_walks_rows_it_cannot_key(value):
+    config, predictor, forest, grids, walked = _memo_case(8)
+    counts = make_rng(9).poisson(0.3, (25, 120)).astype(np.float64)
+    counts[7, 50] = value  # grid 7's first lag at minute 55 is not a small whole count
+    for _ in range(2):
+        demand = predictor.predict(55, counts)
+        expected = _fresh_walk(config, forest, grids, 55, counts)
+        assert demand.tobytes() == expected.tobytes()
+    # Grid 7 is walked on both calls and never stored; the others once.
+    assert walked == [len(grids), 1]
+    assert len(predictor._memo) == len(grids) - 1
+
+
+def test_gbt_memo_clears_at_its_cap(monkeypatch):
+    monkeypatch.setattr(forecast, "MEMO_ROWS", 7)
+    config, predictor, forest, grids, walked = _memo_case(10)
+    counts = make_rng(11).poisson(0.5, (25, 120)).astype(np.float64)
+    sizes = []
+    for minute in [*range(30, 50), *range(30, 50)]:
+        demand = predictor.predict(minute, counts)
+        sizes.append(len(predictor._memo))
+        assert demand.tobytes() == _fresh_walk(config, forest, grids, minute, counts).tobytes()
+    assert max(sizes) == 7
+    # The memo was cleared while full, so a drop in its size marks a call
+    # that was answered right after a clear; those were checked above too.
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
 def assert_same_fit(X, y, params):
     """The presorted fit gives the reference walk's trees and losses, bit
     for bit."""
@@ -516,3 +604,22 @@ def test_model_file_numbers_checked_at_load(tmp_path, key, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
         load_demand_models(path)
+
+
+def test_gbt_study_gives_the_same_runs_on_a_pool():
+    """Each spawned worker holds its own copy of the memo; the runs equal a
+    serial study's, in which later variants read rows the first stored."""
+    config = default_scenario(seed=3)
+    history = synth_history(config, 2, make_rng(12))
+    models = train_demand_models(history, config, GBTParams(rounds=10))
+    nets = {
+        "strategic_dispatch": dispatch_qnet(config.fleet_size, rng=make_rng(13)),
+        "strategic_steering": steering_qnet(rng=make_rng(14)),
+    }
+    variants = ("strategic", "strategic+steer")
+    studies = [
+        run_study(config, variants, nets, GbtDemand(models, config), 40, 2, workers)[0]
+        for workers in (1, 2)
+    ]
+    serial, pooled = ({v: [r.to_dict() for r in runs[v]] for v in variants} for runs in studies)
+    assert json.dumps(serial) == json.dumps(pooled)
