@@ -341,8 +341,8 @@ def test_gbt_memo_is_bitwise_exact_and_walks_each_row_once():
         for m in minutes for g in grids
     }
     assert sum(walked) == len(distinct) == len(predictor._memo)
-    # The same lags in two hours are two rows: an empty shift at minutes 0
-    # and 60 walks each grid twice, and the hour changes some forecasts.
+    # The same lags in two hours are two rows, and the hour changes some
+    # forecasts of an empty shift.
     empty = np.zeros((25, 120))
     fresh = [_fresh_walk(config, forest, grids, m, empty) for m in (0, 60)]
     assert [predictor.predict(m, empty).tobytes() for m in (0, 60)] == [f.tobytes() for f in fresh]
