@@ -86,7 +86,7 @@ def reward_assign(
         projection = sim.projected_arrival(cid, o.restaurant)
     g_future, d, arrival = projection
     if sd_gap is None:
-        sd_gap = float(sim.supply_demand_gap(g_future))
+        sd_gap = float(sim.gap_field()[g_future])
     gap = arrival - o.ready_time
     rho = params.rho
     balance = 1.0 if sd_gap > 0 else -1.0

@@ -476,7 +476,9 @@ def _run_from_dict(doc) -> RunMetrics:
     for key in _RUN_FIELDS - {"variant"}:
         value = float("nan") if doc[key] is None else doc[key]
         numbers = value if key in _RUN_SEQUENCES else [value]
-        if not isinstance(numbers, list) or not all(isinstance(x, (int, float)) for x in numbers):
+        if not isinstance(numbers, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in numbers
+        ):
             raise ConfigError(f"comparison run field {key!r} must hold numbers, got {value!r}")
         run[key] = tuple(value) if key in _RUN_SEQUENCES else value
     return RunMetrics(**run)

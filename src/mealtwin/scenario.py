@@ -33,6 +33,10 @@ DEFAULT_FULL_RATE = 8.4  # orders/hour at a full-weight restaurant grid
 DEFAULT_HALF_RATE = 4.2  # orders/hour at the three half-weight grids
 HALF_RATE_GRIDS = (8, 14, 18)
 DEFAULT_SHIFT_WEEKDAY = 5  # Saturday; shifts in synthetic history land on it
+# The highest arrival rate a grid may have, in orders per hour: about 16,700
+# orders a minute, far beyond any kitchen and far inside the range of the
+# Poisson sampler, which refuses a mean above about 9.2e18.
+MAX_HOURLY_RATE = 1e6
 _SYNTH_BASE_DATE = date(2024, 1, 6)  # a Saturday
 
 
@@ -109,12 +113,24 @@ class ScenarioConfig:
                 f"a {self.shift_minutes}-minute shift from hour {self.shift_start_hour} "
                 "runs past midnight"
             )
+        if self.max_delivery_tasks < 1:
+            raise ConfigError("max_delivery_tasks must be >= 1")
+        if not math.isfinite(self.prep_mean_min):  # a negative mean is clamped in sample_prep
+            raise ConfigError(f"prep_mean_min {self.prep_mean_min} is not finite")
+        for name in ("prep_var", "prep_noise_var", "overdue_limit_min", "idle_threshold_min"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # also rejects NaN
+                raise ConfigError(f"{name} {value} is not a finite number >= 0")
         for gid, by_hour in self.hourly_rates.items():
             if gid not in range(len(self.region)):
                 raise ConfigError(f"rate table references unknown grid {gid}")
             for hour, rate in by_hour.items():
                 if not rate >= 0:  # also rejects NaN
                     raise ConfigError(f"rate {rate} for grid {gid} hour {hour} is not >= 0")
+                if rate > MAX_HOURLY_RATE:
+                    raise ConfigError(
+                        f"rate {rate} for grid {gid} hour {hour} is above {MAX_HOURLY_RATE:g}"
+                    )
         for origin, row in self.od_probs.items():
             if origin not in range(len(self.region)):
                 raise ConfigError(f"od table references unknown grid {origin}")

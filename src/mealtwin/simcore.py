@@ -11,17 +11,24 @@ with the milestones already in the past.
 Policies read the fleet through held courier rows (`SimState.courier_rows`):
 each courier's projected idle grid and minutes until idle, and the dispatch
 action mask, which holds whether each courier is below the delivery-task
-cap.  The rows live from one
-minute to the next.  At the first query of a minute only two groups are
-projected again: couriers the engine marked stale (every status change marks
-one, and so do `apply_dispatch` and `apply_reallocation`), and couriers
-waiting at a restaurant whose order's estimated ready minute is already
-past.  Waiting is the one status whose projection reads the clock, through
-pickup at max(now, estimated ready); until the estimate is past, that max is
-the estimate itself.  So for every other courier the projected idle minute
-is fixed: idle rows stay at 0 minutes and every other row counts down with
-the clock, which is exact because the clock is integral and never later
-than a busy courier's idle minute.
+cap.  The rows live from one minute to the next.  At the first query of a
+minute only two groups are projected again: couriers marked stale (every
+courier starts stale, every status change marks one, and so do
+`apply_dispatch` and `apply_reallocation`), and couriers waiting at a
+restaurant whose order's estimated ready minute is already past.  Waiting
+is the one status whose projection reads the clock, through pickup at
+max(now, estimated ready); until the estimate is past, that max is the
+estimate itself.  So for every other courier the projected idle minute is
+fixed: idle rows stay at 0 minutes and every other row counts down with the
+clock, which is exact because the clock is integral and never later than a
+busy courier's idle minute.
+
+The idle couriers and the pending orders per grid are held too.  Orders
+enter the book only through `place_order`, so the pending counts start at
+zero and are kept from there.  The idle counts are taken once, at the first
+action on a courier or the first count query (`_count_idle`), so that
+set-up code may still place couriers before then; every later status change
+keeps them.
 
 The gap field is held as well.  In strategic mode one `bincount` over the
 rows builds it at its first query after each minute's row refresh and after
@@ -162,22 +169,24 @@ class SimState:
         self.predicted = np.zeros(n, dtype=np.float64)
         self.rounded_demand = np.zeros(n, dtype=np.int64)
         # Courier rows, the minute they were last brought up to date at, the
-        # couriers whose rows must be projected again, and the estimated
-        # ready minute each waiting courier's order has; see courier_rows.
-        # The rows and the idle and pending counts are built at their first
-        # query, so that set-up code may still place couriers and orders
-        # before then.
-        self._rows: Optional[CourierRows] = None
+        # couriers whose rows must be projected again (at first, all), and
+        # the estimated ready minute each waiting courier's order has; see
+        # courier_rows.
+        fleet = config.fleet_size
+        self._rows = CourierRows(np.zeros(fleet, np.int64), np.zeros(fleet), np.ones(fleet + 1, bool))
         self._rows_minute = -1
-        self._stale: Set[int] = set()
+        self._stale: Set[int] = set(range(fleet))
         self._waiting: Dict[int, float] = {}
-        self._idle_counts: Optional[np.ndarray] = None
-        self._pending_counts: Optional[np.ndarray] = None
-        # The gap field and its read-only view; in strategic mode
-        # _field_ok says whether it is in step with this minute's rows.
-        self._field = np.zeros(n, dtype=np.int64)
-        self._field_view = self._field.view()
-        self._field_view.flags.writeable = False
+        # Idle couriers per grid (taken by _count_idle), pending orders per
+        # grid, and the gap field, which in strategic mode _field_ok says is
+        # in step with this minute's rows.  Each is read through a read-only
+        # view.
+        held = np.zeros((3, n), dtype=np.int64)
+        self._idle_counts, self._pending_counts, self._field = held
+        view = held.view()
+        view.flags.writeable = False
+        self._idle_view, self._pending_view, self._field_view = view
+        self._idle_counted = False
         self._field_ok = False
         # Bumped by every change to what a decision reads: each apply_*,
         # refresh_predictions and the advance of the clock.
@@ -201,33 +210,24 @@ class SimState:
         return sorted(self.pending, key=lambda oid: (self.orders[oid].est_ready, oid))
 
     def idle_counts(self) -> np.ndarray:
-        """Idle couriers per grid."""
-        return self._idle().copy()
+        """Idle couriers per grid: a read-only view of the held counts."""
+        self._count_idle()
+        return self._idle_view
 
     def pending_counts(self) -> np.ndarray:
-        """Pending orders per restaurant grid."""
-        return self._pending().copy()
+        """Pending orders per restaurant grid: a read-only view of the held
+        counts."""
+        return self._pending_view
 
-    def _idle(self) -> np.ndarray:
-        """The held idle counts: counted over the fleet at the first query,
-        then kept by `_set_status` as couriers go idle and leave idle."""
-        if self._idle_counts is None:
-            counts = np.zeros(len(self.region), dtype=np.int64)
+    def _count_idle(self) -> None:
+        """Take the idle counts, once.  apply_dispatch and apply_reallocation
+        call this before they change a courier; after that, _set_status
+        keeps the counts."""
+        if not self._idle_counted:
+            self._idle_counted = True
             for c in self.couriers:
                 if c.status == IDLE:
-                    counts[c.grid] += 1
-            self._idle_counts = counts
-        return self._idle_counts
-
-    def _pending(self) -> np.ndarray:
-        """The held pending counts: counted over the order book at the first
-        query, then kept as orders are placed, assigned and dropped."""
-        if self._pending_counts is None:
-            counts = np.zeros(len(self.region), dtype=np.int64)
-            for oid in self.pending:
-                counts[self.orders[oid].restaurant] += 1
-            self._pending_counts = counts
-        return self._pending_counts
+                    self._idle_counts[c.grid] += 1
 
     def place_order(self, o: Order) -> None:
         """Enter a new order into the book as pending.  Orders enter only
@@ -235,13 +235,11 @@ class SimState:
         self.orders[o.id] = o
         self.pending.append(o.id)
         self.next_order_id = o.id + 1
-        if self._pending_counts is not None:
-            self._pending_counts[o.restaurant] += 1
+        self._pending_counts[o.restaurant] += 1
 
     def _drop_pending(self, o: Order) -> None:
         self.pending.remove(o.id)
-        if self._pending_counts is not None:
-            self._pending_counts[o.restaurant] -= 1
+        self._pending_counts[o.restaurant] -= 1
 
     # -------------------------------------------------------- courier projection
 
@@ -297,26 +295,17 @@ class SimState:
     def courier_rows(self) -> CourierRows:
         """Every courier's projection at this minute.
 
-        The first query builds all rows.  At the first query of each later
-        minute, busy rows count down by the minutes passed, and the stale
-        couriers and the waiting ones past their order's estimated ready
-        minute are projected again (see the module docstring).  Within a
-        minute only apply_dispatch and apply_reallocation change a courier,
-        and each rebuilds that courier's row.
+        At the first query of each minute, busy rows count down by the
+        minutes passed, and the stale couriers and the waiting ones past
+        their order's estimated ready minute are projected again (see the
+        module docstring).  Every courier starts stale, so the first query
+        of the shift projects the whole fleet.  Within a minute only
+        apply_dispatch and apply_reallocation change a courier, and each
+        rebuilds that courier's row.
         """
         rows = self._rows
         clock = self.clock
-        if rows is None:
-            projected = [self.courier_eta_idle(c.id) for c in self.couriers]
-            cap = self.config.max_delivery_tasks
-            rows = self._rows = CourierRows(
-                grid=np.array([g for g, _ in projected], dtype=np.int64),
-                eta=np.array([dt for _, dt in projected], dtype=np.float64),
-                mask=np.array([c.delivery_task_count() < cap for c in self.couriers] + [True]),
-            )
-            self._stale.clear()
-            self._field_ok = False
-        elif self._rows_minute != clock:
+        if self._rows_minute != clock:
             # Every row that is not projected again below belongs to an idle
             # courier (0.0, kept there by the clamp) or to a busy one whose
             # idle minute is not before the clock, so no other row is
@@ -330,7 +319,7 @@ class SimState:
             for cid in stale:
                 self._project_row(cid)
             stale.clear()
-        self._rows_minute = clock
+            self._rows_minute = clock
         return rows
 
     def _project_row(self, cid: int) -> None:
@@ -374,10 +363,6 @@ class SimState:
         self._field_ok = False
         self.revision += 1
 
-    def supply_demand_gap(self, gid: int) -> int:
-        """Courier supply minus order demand at one grid: gap_field()[gid]."""
-        return int(self.gap_field()[gid])
-
     def gap_field(self) -> np.ndarray:
         """Courier supply minus order demand at every grid, indexed by grid id.
 
@@ -391,7 +376,7 @@ class SimState:
         """
         field = self._field
         if self.mode == MODE_MYOPIC:
-            np.subtract(self._idle(), self._pending(), out=field)
+            np.subtract(self.idle_counts(), self.pending_counts(), out=field)
         else:
             rows = self.courier_rows()
             if not self._field_ok:
@@ -423,6 +408,7 @@ class SimState:
         if projection is None:
             projection = self.projected_arrival(cid, o.restaurant)
         _, d, arrival = projection
+        self._count_idle()
         o.status = "assigned"
         o.assigned_courier = cid
         o.courier_arrival = arrival
@@ -467,6 +453,7 @@ class SimState:
                 f"grid {target} is not adjacent to courier {cid} at {c.grid}"
             )
         origin = c.grid
+        self._count_idle()
         self.revision += 1
         c.idle_since = None
         c.queue.append(Task(REALLOCATE, target=target))
@@ -519,7 +506,7 @@ class SimState:
         if steer_fn is not None:
             for cid in self.eligible_steering_ids():
                 steer_fn(self, cid)
-        idle, pending = self._idle(), self._pending()
+        idle, pending = self.idle_counts(), self.pending_counts()
         self.log(
             "system",
             "snapshot",
@@ -581,12 +568,10 @@ class SimState:
             self._waiting[c.id] = self.orders[c.queue[0].order_id].est_ready
         elif c.status == WAITING:
             del self._waiting[c.id]
-        counts = self._idle_counts
-        if counts is not None:
-            if status == IDLE:
-                counts[c.grid] += 1
-            elif c.status == IDLE:
-                counts[c.grid] -= 1
+        if status == IDLE:
+            self._idle_counts[c.grid] += 1
+        elif c.status == IDLE:
+            self._idle_counts[c.grid] -= 1
         c.minutes[c.status] += at - c.status_since
         self.log(
             f"courier:{c.id}",

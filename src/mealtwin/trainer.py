@@ -15,7 +15,6 @@ twice the plan.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -53,25 +52,20 @@ TRAINING_REPORT_SCHEMA = "mealtwin-training-report/1"
 PHASE_DISPATCH = "dispatch"
 PHASE_STEERING = "steering"
 
+# The window and threshold of each phase's convergence_check, and the
+# episodes an unconverged phase extends by at a time, up to twice its plan.
+CONVERGENCE_WINDOW = 20
+CONVERGENCE_THRESHOLD = 0.05
+EXTENSION_BLOCK = 25
+PHASE3_EPSILON_SCALE = 0.25  # phase 3 starts exploring at this share of EPSILON_START
+
 
 @dataclass(frozen=True)
 class TrainingPlan:
     episodes: Tuple[int, int, int] = (200, 150, 100)
     seed: int = 0
     mode: str = MODE_STRATEGIC
-    hidden: int = 32
     output_activation: str = ACT_LINEAR
-    learning_rate: float = LEARNING_RATE
-    gamma: float = GAMMA
-    batch_size: int = BATCH_SIZE
-    capacity: int = REPLAY_CAPACITY
-    sync_every: int = TARGET_SYNC_DECISIONS
-    learn_period: int = LEARN_PERIOD_STEPS
-    epsilon_start: float = EPSILON_START
-    convergence_window: int = 20
-    convergence_threshold: float = 0.05
-    extension_block: int = 25
-    phase3_epsilon_scale: float = 0.25
 
     def __post_init__(self) -> None:
         if any(r < 1 for r in self.episodes):
@@ -112,7 +106,6 @@ class TrainingReport:
     seed: int
     planned_episodes: Tuple[int, int, int]
     phases: List[PhaseReport] = field(default_factory=list)
-    wall_clock_s: float = 0.0  # kept in memory; not serialized
 
 
 def convergence_check(series: List[float], window: int, threshold: float) -> bool:
@@ -137,11 +130,10 @@ class _Learner:
     def __init__(self, net: QNet, plan: TrainingPlan, phase_index: int, epsilon_start: float):
         self.net = net
         self.target = net.clone()
-        self.buffer = ReplayBuffer(plan.capacity, net.spec.input_dim, net.num_actions)
-        self.adam = Adam(net.params.size, lr=plan.learning_rate)
+        self.buffer = ReplayBuffer(REPLAY_CAPACITY, net.spec.input_dim, net.num_actions)
+        self.adam = Adam(net.params.size, lr=LEARNING_RATE)
         self.rng = make_rng(plan.seed, 91, phase_index)
         self.epsilon_start = epsilon_start
-        self.sync_every = plan.sync_every
         self.learn_updates = 0
         self.decisions = 0
         self.env_steps = 0
@@ -166,17 +158,17 @@ class _Learner:
         episode's raw-reward return."""
         self.buffer.push(s, a, r, s2, done, mask2)
         self.decisions += 1
-        maybe_sync_target(self.net, self.target, self.decisions, self.sync_every)
+        maybe_sync_target(self.net, self.target, self.decisions, TARGET_SYNC_DECISIONS)
         self.episode_return += raw_reward
 
-    def after_env_step(self, plan: TrainingPlan) -> None:
+    def after_env_step(self) -> None:
         self.env_steps += 1
-        if self.env_steps % plan.learn_period != 0:
+        if self.env_steps % LEARN_PERIOD_STEPS != 0:
             return
-        if len(self.buffer) < plan.batch_size:
+        if len(self.buffer) < BATCH_SIZE:
             return
-        batch = self.buffer.sample(plan.batch_size, self.rng)
-        loss = learn(self.net, self.target, batch, self.adam, plan.gamma)
+        batch = self.buffer.sample(BATCH_SIZE, self.rng)
+        loss = learn(self.net, self.target, batch, self.adam, GAMMA)
         self.learn_updates += 1
         self.losses.append(loss)
 
@@ -203,7 +195,7 @@ def _run_phase(
         steer_policy = steer.SteerDdqnPolicy(steering_net, learner if steers else None)
     phase = PhaseReport(name=f"phase{phase_index + 1}", trains=trains, planned=planned)
     report.phases.append(phase)
-    window = plan.convergence_window
+    window = CONVERGENCE_WINDOW
     budget = planned
     episode = 0
     while episode < budget:
@@ -218,7 +210,7 @@ def _run_phase(
         try:
             for _ in range(config.shift_minutes):
                 sim.step(dispatch_policy, steer_policy)
-                learner.after_env_step(plan)
+                learner.after_env_step()
             sim.finish()
         except NumericalError as exc:
             phase.aborted = str(exc)
@@ -237,11 +229,9 @@ def _run_phase(
         )
         episode += 1
         if episode == budget and len(phase.returns) >= 2 * window:
-            phase.converged = convergence_check(
-                phase.returns, window, plan.convergence_threshold
-            )
+            phase.converged = convergence_check(phase.returns, window, CONVERGENCE_THRESHOLD)
             if not phase.converged and budget < 2 * planned:
-                budget = min(budget + plan.extension_block, 2 * planned)
+                budget = min(budget + EXTENSION_BLOCK, 2 * planned)
     phase.executed = episode
 
 
@@ -251,10 +241,8 @@ def sandwich_train(
     predictor=None,
 ) -> Tuple[QNet, QNet, TrainingReport]:
     """Run the three training phases and return both trained networks."""
-    started = time.perf_counter()
     dispatch_net = dispatch_qnet(
         config.fleet_size,
-        hidden=plan.hidden,
         output_activation=plan.output_activation,
         rng=make_rng(plan.seed, 7),
     )
@@ -263,9 +251,9 @@ def sandwich_train(
     )
     report = TrainingReport(mode=plan.mode, seed=plan.seed, planned_episodes=plan.episodes)
     schedule = (
-        (PHASE_DISPATCH, plan.epsilon_start),
-        (PHASE_STEERING, plan.epsilon_start),
-        (PHASE_DISPATCH, plan.epsilon_start * plan.phase3_epsilon_scale),
+        (PHASE_DISPATCH, EPSILON_START),
+        (PHASE_STEERING, EPSILON_START),
+        (PHASE_DISPATCH, EPSILON_START * PHASE3_EPSILON_SCALE),
     )
     for phase_index, (trains, epsilon_start) in enumerate(schedule):
         _run_phase(
@@ -279,7 +267,6 @@ def sandwich_train(
             dispatch_net,
             steering_net,
         )
-    report.wall_clock_s = time.perf_counter() - started
     return dispatch_net, steering_net, report
 
 

@@ -371,6 +371,20 @@ def test_shift_past_midnight_exits_2(tmp_path, capsys):
     assert "runs past midnight" in err and "Traceback" not in err
 
 
+def test_simulate_refuses_a_negative_prep_variance(workspace, tmp_path, capsys):
+    """It used to load and raise a math domain error at minute 0 (exit 1)."""
+    doc = json.loads((workspace / "scenario.json").read_text())
+    doc["prep_var"] = -1.0
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(doc))
+    events = tmp_path / "events.csv"
+    args = ["--variant", "nearest_idle", "--events-out", str(events)]
+    assert main(["simulate", "--scenario", str(bad), *args]) == 2
+    err = capsys.readouterr().err
+    assert "prep_var" in err and "Traceback" not in err
+    assert not events.exists()
+
+
 @pytest.fixture(scope="module")
 def evaluated(workspace):
     outdir = workspace / "eval"
@@ -570,7 +584,10 @@ def test_report_rejects_bad_files(evaluated, tmp_path, capsys):
     no_variants = {k: v for k, v in good.items() if k != "variants"}
     short_run = {k: v for k, v in first.items() if k != "courier_delivery_minutes"}
     text_gap = {**first, "gap_mean": "x"}
-    for doc in (no_variants, with_run(short_run), with_run(text_gap), [good]):
+    bool_gap = {**first, "gap_mean": False}
+    bool_served = {**first, "courier_served": [True, False]}
+    bad_runs = (short_run, text_gap, bool_gap, bool_served)
+    for doc in (no_variants, *(with_run(run) for run in bad_runs), [good]):
         bad.write_text(json.dumps(doc))
         assert main(["report", "--comparison", str(bad)]) == 2
         err = capsys.readouterr().err

@@ -66,7 +66,6 @@ def check_against_fresh(sim: SimState, oid=None, cid=None) -> None:
     assert same_bits(sim.pending_counts(), fresh_pending_counts(sim))
     field = fresh_gap_field(sim)
     assert same_bits(sim.gap_field(), field)
-    assert [sim.supply_demand_gap(g) for g in range(len(sim.region))] == field.tolist()
     expected_mask = np.append(tasks < sim.config.max_delivery_tasks, True)
     assert same_bits(task_count_mask(sim), expected_mask)
     if oid is None and sim.pending:
@@ -160,14 +159,14 @@ def test_refresh_projects_only_changed_and_waiting_couriers(monkeypatch):
     """At the first row query of each minute, courier_eta_idle runs once for
     every courier that changed since its row was last built, plus every
     courier waiting at a restaurant whose order's estimated ready minute is
-    past, and for no other."""
+    past, and for no other.  The first query projects every courier once."""
     config = default_scenario(seed=5)
     sim = SimState(config, mode=MODE_STRATEGIC, predictor=OracleDemand(config), seed_key=(5,))
-    calls = [0]
+    projected = []  # the courier id of every projection
     project = sim.courier_eta_idle
 
     def counting(cid):
-        calls[0] += 1
+        projected.append(cid)
         return project(cid)
 
     monkeypatch.setattr(sim, "courier_eta_idle", counting)
@@ -191,10 +190,13 @@ def test_refresh_projects_only_changed_and_waiting_couriers(monkeypatch):
             for c in s.couriers
             if c.status == WAITING and s.orders[c.queue[0].order_id].est_ready < s.clock
         }
-        before = calls[0]
+        before = len(projected)
         s.courier_rows()
-        counts.append((calls[0] - before, len(expected - waiting), len(waiting)))
-        assert calls[0] - before == len(expected | waiting)
+        new = projected[before:]
+        counts.append((len(new), len(expected - waiting), len(waiting)))
+        assert len(new) == len(expected | waiting)
+        if seen[0] is None:
+            assert sorted(new) == list(range(len(now)))
 
     def dispatch(s: SimState, oid: int, remaining) -> None:
         refresh(s)
@@ -230,8 +232,8 @@ def held_state(sim: SimState) -> tuple:
         rows.eta.copy(),
         rows.mask.copy(),
         sim.gap_field().copy(),
-        sim.idle_counts(),
-        sim.pending_counts(),
+        sim.idle_counts().copy(),
+        sim.pending_counts().copy(),
         list(sim.events),
     )
 

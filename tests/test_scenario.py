@@ -1,5 +1,6 @@
 """Scenario configuration, order sampling, and history generation tests."""
 
+import json
 import math
 from datetime import datetime
 
@@ -10,6 +11,7 @@ from mealtwin.errors import ConfigError
 from mealtwin.hexgrid import default_region
 from mealtwin.scenario import (
     DEFAULT_SHIFT_WEEKDAY,
+    MAX_HOURLY_RATE,
     ScenarioConfig,
     TransactionRecord,
     default_scenario,
@@ -86,6 +88,44 @@ def test_config_validation():
     # A one-hour shift needs only its own hour; a grid without orders needs no od row.
     without_8 = {g: row for g, row in od.items() if g != 8}
     ScenarioConfig(region, {**rates, 8: {19: 0.0}}, without_8, shift_minutes=60)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_delivery_tasks", 0),
+        ("prep_var", -1.0),
+        ("prep_noise_var", -0.5),
+        ("prep_mean_min", math.nan),
+        ("prep_mean_min", -math.inf),
+        ("idle_threshold_min", math.nan),
+        ("idle_threshold_min", math.inf),
+        ("overdue_limit_min", -1.0),
+        ("overdue_limit_min", math.nan),
+    ],
+)
+def test_scenario_fields_are_checked_at_load(tmp_path, key, value):
+    """Values that used to load and then fail at minute 0 (a zero task cap,
+    a negative variance) or run a shift on nonsense (NaN, a negative limit)."""
+    doc = scenario_to_dict(default_scenario())
+    doc[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=key):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("rate", [math.inf, 1e30, MAX_HOURLY_RATE * 2])
+def test_rates_above_the_cap_are_refused_at_load(tmp_path, rate):
+    doc = scenario_to_dict(default_scenario())
+    doc["hourly_rates"]["7"]["19"] = rate
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="rate .* for grid 7 hour 19 is above"):
+        load_scenario(path)
+    doc["hourly_rates"]["7"]["19"] = MAX_HOURLY_RATE
+    path.write_text(json.dumps(doc))
+    assert load_scenario(path).hourly_rates[7][19] == MAX_HOURLY_RATE
 
 
 def test_shift_must_stay_within_the_clock_day():

@@ -276,8 +276,21 @@ def test_current_gap_field():
     assert field[8] == 1
     assert field[14] == -1
     assert field.sum() == 3 - 2
-    assert sim.supply_demand_gap(7) == 1
-    assert sim.supply_demand_gap(14) == -1
+    assert sim.gap_field()[7] == 1
+    assert sim.gap_field()[14] == -1
+
+
+@pytest.mark.parametrize("first", ["dispatch", "reallocation"])
+def test_idle_counts_are_taken_before_the_first_action(first):
+    """The idle counts are taken before the first action on a courier, even
+    when nothing has read them yet, so they see that courier leave idle."""
+    sim = make_sim(fleet=3, grids=(7, 7, 8))
+    if first == "dispatch":
+        sim.apply_dispatch(add_order(sim, restaurant=7, household=0, est=5.0, actual=5.0).id, 0)
+    else:
+        sim.apply_reallocation(0, next(g for g in sim.region.neighbor_ids(7) if g is not None))
+    counts = sim.idle_counts()
+    assert (counts[7], counts[8], counts.sum()) == (1, 1, 2)
 
 
 class StubPredictor:
@@ -308,7 +321,7 @@ def test_anticipated_gap_field():
     assert field[7] == -2  # round-half-up(1.6) demand, no supply
     assert field[8] == -1  # 0.5 rounds up
     assert field[14] == 0  # 0.49 rounds down
-    assert sim.supply_demand_gap(7) == -2
+    assert sim.gap_field()[7] == -2
     assert sim.rounded_demand.dtype == np.int64
     assert sim.rounded_demand[[7, 8, 14]].tolist() == [2, 1, 0]
 
