@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .dispatch import REWARD_SCALE
-from .errors import ConfigError, ContractError, NumericalError
+from .errors import ConfigError, ContractError, NumericalError, load_document
 from .evaluate import (
     VARIANT_SETUP,
     VARIANTS,
@@ -112,23 +112,18 @@ _EXPERIMENT_TYPES = (
 )
 
 
-def _load_experiment(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"experiment config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"experiment config {path} must hold a JSON object")
-    if doc.get("schema") != EXPERIMENT_SCHEMA:
-        raise ConfigError(f"unsupported experiment schema: {doc.get('schema')!r}")
+def _experiment_from_dict(doc: dict) -> dict:
     for kind, check, keys in _EXPERIMENT_TYPES:
         for key in keys:
             if key in doc and not check(doc[key]):
                 raise ConfigError(f"experiment key {key!r} must hold {kind}, got {doc[key]!r}")
     return doc
+
+
+def _load_experiment(path: Optional[str]) -> dict:
+    if path is None:
+        return {}
+    return load_document(path, EXPERIMENT_SCHEMA, "experiment config", _experiment_from_dict)
 
 
 def _pick(flag_value, experiment: dict, key: str, default):
@@ -494,7 +489,10 @@ def cmd_snapshot(args) -> int:
         region = load_scenario(Path(args.scenario)).region
     else:
         region = default_scenario().region
-    svg = render_snapshot(region, snapshot["idle"], snapshot["gap"], minute=args.minute)
+    vectors = [snapshot.get(key) if isinstance(snapshot, dict) else None for key in ("idle", "gap")]
+    if not all(isinstance(v, list) and all(isinstance(x, (int, float)) for x in v) for v in vectors):
+        raise ConfigError(f"snapshot for minute {args.minute} needs 'idle' and 'gap' number lists")
+    svg = render_snapshot(region, *vectors, minute=args.minute)
     with open(args.out, "w") as fh:
         fh.write(svg)
         fh.write("\n")

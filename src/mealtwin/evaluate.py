@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dispatch import ConvDdqnPolicy, DispatchRewardParams, NearestIdlePolicy
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, load_document
 from .rlcore import QNet
 from .scenario import ScenarioConfig
 from .simcore import MODE_MYOPIC, MODE_STRATEGIC, Event, SimState
@@ -472,7 +472,9 @@ def _run_from_dict(doc) -> RunMetrics:
             "comparison run must hold exactly the run fields; "
             f"missing {sorted(_RUN_FIELDS - have)}, unknown {sorted(have - _RUN_FIELDS)}"
         )
-    run = {"variant": str(doc["variant"])}
+    if not isinstance(doc["variant"], str):
+        raise ConfigError(f"comparison run variant must be a name, got {doc['variant']!r}")
+    run = {"variant": doc["variant"]}
     for key in _RUN_FIELDS - {"variant"}:
         value = float("nan") if doc[key] is None else doc[key]
         numbers = value if key in _RUN_SEQUENCES else [value]
@@ -481,29 +483,25 @@ def _run_from_dict(doc) -> RunMetrics:
         ):
             raise ConfigError(f"comparison run field {key!r} must hold numbers, got {value!r}")
         run[key] = tuple(value) if key in _RUN_SEQUENCES else value
+    # A shift with a delivery defines every statistic that the tests compare.
+    scalars = [run[key] for key in _RUN_FIELDS - {"variant", *_RUN_SEQUENCES}]
+    if not math.isnan(run["gap_mean"]) and not all(map(math.isfinite, scalars)):
+        raise ConfigError(f"comparison run {doc['run_id']!r} has a delivery but a NaN or inf")
     return RunMetrics(**run)
+
+
+def _comparison_from_dict(doc: dict) -> ComparisonReport:
+    variants = doc.get("variants")
+    if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
+        raise ConfigError("'variants' must be a list of names")
+    runs = {v: [_run_from_dict(r) for r in rows] for v, rows in doc["runs"].items()}
+    return compare_frameworks(runs, variants=variants)
 
 
 def load_comparison(path: Path) -> ComparisonReport:
     """The comparison of a file `save_comparison` wrote, recomputed from its
     runs.  A file of another shape raises ConfigError."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"comparison file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("comparison file must hold a JSON object")
-    if doc.get("schema") != COMPARISON_SCHEMA:
-        raise ConfigError(f"unsupported comparison schema: {doc.get('schema')!r}")
-    variants, runs = doc.get("variants"), doc.get("runs")
-    if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
-        raise ConfigError("comparison file needs 'variants', a list of names")
-    if not isinstance(runs, dict) or not all(isinstance(rows, list) for rows in runs.values()):
-        raise ConfigError("comparison file needs 'runs', a list of runs per variant")
-    return compare_frameworks(
-        {v: [_run_from_dict(r) for r in rows] for v, rows in runs.items()}, variants=variants
-    )
+    return load_document(path, COMPARISON_SCHEMA, "comparison", _comparison_from_dict)
 
 
 def write_metrics_csv(path: Path, report: ComparisonReport) -> None:

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, load_document, whole
 from .scenario import DEFAULT_SHIFT_WEEKDAY, ScenarioConfig, TransactionRecord
 
 GBT_SCHEMA = "mealtwin-gbt/1"
@@ -429,26 +429,15 @@ def _tree_to_dict(tree: RegressionTree) -> dict:
     }
 
 
-def _whole(v) -> int:
-    """A saved integer field: an int, or a float holding a whole number.
-    Booleans, strings and fractions, which int() would silently accept or
-    truncate, are refused."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{v!r} is not a whole number")
-    if isinstance(v, float) and not v.is_integer():
-        raise ConfigError(f"{v!r} is not a whole number")
-    return int(v)
-
-
 def _tree_from_dict(doc: dict, where: str) -> RegressionTree:
     """A tree from its saved node lists, checked to be one that the packed
     walk can take: children come after their node in preorder, leaves have
     none, and every feature index and number is usable."""
     tree = RegressionTree(
-        feature=[_whole(v) for v in doc["feature"]],
+        feature=[whole(v, "feature") for v in doc["feature"]],
         threshold=[float(v) for v in doc["threshold"]],
-        left=[_whole(v) for v in doc["left"]],
-        right=[_whole(v) for v in doc["right"]],
+        left=[whole(v, "left") for v in doc["left"]],
+        right=[whole(v, "right") for v in doc["right"]],
         value=[float(v) for v in doc["value"]],
     )
     n = len(tree.feature)
@@ -491,35 +480,29 @@ def save_demand_models(path: Path, models: Dict[int, GBTEnsemble]) -> None:
         fh.write("\n")
 
 
-def load_demand_models(path: Path) -> Dict[int, GBTEnsemble]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"forecast model file {path} is not valid JSON: {exc}") from exc
-    if doc.get("schema") != GBT_SCHEMA:
-        raise ConfigError(f"unsupported forecast model schema: {doc.get('schema')!r}")
+def _models_from_dict(doc: dict) -> Dict[int, GBTEnsemble]:
     models = {}
-    try:
-        for gid, entry in doc["grids"].items():
-            params = GBTParams(
-                rounds=_whole(entry["params"]["rounds"]),
-                max_depth=_whole(entry["params"]["max_depth"]),
-                min_leaf=_whole(entry["params"]["min_leaf"]),
-                l2_reg=float(entry["params"]["l2_reg"]),
-                shrinkage=float(entry["params"]["shrinkage"]),
-            )
-            model = GBTEnsemble(
-                base_score=float(entry["base_score"]),
-                shrinkage=float(entry["shrinkage"]),
-                trees=[
-                    _tree_from_dict(t, f"grid {gid} tree {k}") for k, t in enumerate(entry["trees"])
-                ],
-                params=params,
-            )
-            if not (math.isfinite(model.base_score) and math.isfinite(model.shrinkage)):
-                raise ConfigError(f"grid {gid}: base score and shrinkage must be finite")
-            models[int(gid)] = model
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"forecast model file {path} is malformed: {exc!r}") from exc
+    for gid, entry in doc["grids"].items():
+        params = GBTParams(
+            rounds=whole(entry["params"]["rounds"], "rounds"),
+            max_depth=whole(entry["params"]["max_depth"], "max_depth"),
+            min_leaf=whole(entry["params"]["min_leaf"], "min_leaf"),
+            l2_reg=float(entry["params"]["l2_reg"]),
+            shrinkage=float(entry["params"]["shrinkage"]),
+        )
+        model = GBTEnsemble(
+            base_score=float(entry["base_score"]),
+            shrinkage=float(entry["shrinkage"]),
+            trees=[
+                _tree_from_dict(t, f"grid {gid} tree {k}") for k, t in enumerate(entry["trees"])
+            ],
+            params=params,
+        )
+        if not (math.isfinite(model.base_score) and math.isfinite(model.shrinkage)):
+            raise ConfigError(f"grid {gid}: base score and shrinkage must be finite")
+        models[int(gid)] = model
     return models
+
+
+def load_demand_models(path: Path) -> Dict[int, GBTEnsemble]:
+    return load_document(path, GBT_SCHEMA, "forecast model", _models_from_dict)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalError
+from .errors import ConfigError, ContractError, NumericalError, load_document, whole
 
 QNET_SCHEMA = "mealtwin-qnet/1"
 MASKED_Q = -1e9  # huge negative stands in for invalid actions
@@ -419,42 +419,33 @@ def save_qnet(path: Path, net: QNet, meta: Optional[Dict] = None) -> None:
         fh.write("\n")
 
 
+def _qnet_from_dict(doc: dict) -> Tuple[QNet, Dict]:
+    spec = NetSpec(
+        input_dim=whole(doc["spec"]["input_dim"], "input_dim"),
+        layer_dims=tuple(whole(d, "layer dim") for d in doc["spec"]["layer_dims"]),
+        activations=tuple(doc["spec"]["activations"]),
+        head_dim=whole(doc["spec"]["head_dim"], "head_dim"),
+        embed_groups=whole(doc["spec"]["embed_groups"], "embed_groups"),
+    )
+    net = QNet(spec)
+    if spec.embed_groups:
+        embed = np.asarray(doc["embed"], dtype=np.float64)
+        if embed.shape != (3,):
+            raise ConfigError("embedding weights must be a triple")
+        net.embed[:] = embed
+    if len(doc["layers"]) != len(net.weights):
+        raise ConfigError("layer count mismatch")
+    for (din, dout), view_w, view_b, layer in zip(
+        net._shapes, net.weights, net.biases, doc["layers"]
+    ):
+        w = np.asarray(layer["w"], dtype=np.float64)
+        b = np.asarray(layer["b"], dtype=np.float64)
+        if w.shape != (din, dout) or b.shape != (dout,):
+            raise ConfigError(f"layer shape {w.shape}/{b.shape}, expected {(din, dout)}/{(dout,)}")
+        view_w[:] = w
+        view_b[:] = b
+    return net, dict(doc.get("meta", {}))
+
+
 def load_qnet(path: Path) -> Tuple[QNet, Dict]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"weights file {path} is not valid JSON: {exc}") from exc
-    if doc.get("schema") != QNET_SCHEMA:
-        raise ConfigError(f"unsupported weights schema: {doc.get('schema')!r}")
-    try:
-        spec = NetSpec(
-            input_dim=int(doc["spec"]["input_dim"]),
-            layer_dims=tuple(int(d) for d in doc["spec"]["layer_dims"]),
-            activations=tuple(doc["spec"]["activations"]),
-            head_dim=int(doc["spec"]["head_dim"]),
-            embed_groups=int(doc["spec"]["embed_groups"]),
-        )
-        net = QNet(spec)
-        if spec.embed_groups:
-            embed = np.asarray(doc["embed"], dtype=np.float64)
-            if embed.shape != (3,):
-                raise ConfigError("embedding weights must be a triple")
-            net.embed[:] = embed
-        if len(doc["layers"]) != len(net.weights):
-            raise ConfigError("layer count mismatch in weights file")
-        for (din, dout), view_w, view_b, layer in zip(
-            net._shapes, net.weights, net.biases, doc["layers"]
-        ):
-            w = np.asarray(layer["w"], dtype=np.float64)
-            b = np.asarray(layer["b"], dtype=np.float64)
-            if w.shape != (din, dout) or b.shape != (dout,):
-                raise ConfigError(
-                    f"weights file {path} has layer shape {w.shape}/{b.shape}, "
-                    f"expected {(din, dout)}/{(dout,)}"
-                )
-            view_w[:] = w
-            view_b[:] = b
-        return net, dict(doc.get("meta", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed weights file {path}: {exc}") from exc
+    return load_document(path, QNET_SCHEMA, "weights", _qnet_from_dict)

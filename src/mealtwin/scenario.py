@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, load_document, whole
 from .hexgrid import DEFAULT_RESTAURANT_IDS, HexCoord, ServiceRegion, default_region
 
 SCENARIO_SCHEMA = "mealtwin-scenario/1"
@@ -115,6 +115,8 @@ class ScenarioConfig:
             )
         if self.max_delivery_tasks < 1:
             raise ConfigError("max_delivery_tasks must be >= 1")
+        if self.seed < 0:  # numpy seeds only from integers >= 0
+            raise ConfigError(f"seed {self.seed} is not >= 0")
         if not math.isfinite(self.prep_mean_min):  # a negative mean is clamped in sample_prep
             raise ConfigError(f"prep_mean_min {self.prep_mean_min} is not finite")
         for name in ("prep_var", "prep_noise_var", "overdue_limit_min", "idle_threshold_min"):
@@ -323,42 +325,42 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    if doc.get("schema") != SCENARIO_SCHEMA:
-        raise ConfigError(f"unsupported scenario schema: {doc.get('schema')!r}")
-    try:
-        layout = doc["layout"]
-        rows = layout["grids"]
-        grids = [HexCoord(0, 0)] * len(rows)
-        flags = [False] * len(rows)
-        for gid, q, r, is_rest in rows:
-            grids[int(gid)] = HexCoord(int(q), int(r))
-            flags[int(gid)] = bool(is_rest)
-        region = ServiceRegion(tuple(grids), tuple(flags), layout.get("name", "custom"))
-        rates = {
-            int(gid): {int(h): float(rate) for h, rate in row.items()}
-            for gid, row in doc["hourly_rates"].items()
-        }
-        od = {
-            int(gid): {int(d): float(p) for d, p in row.items()}
-            for gid, row in doc["od_probs"].items()
-        }
-        return ScenarioConfig(
-            region=region,
-            hourly_rates=rates,
-            od_probs=od,
-            fleet_size=int(doc["fleet_size"]),
-            shift_start_hour=int(doc["shift_start_hour"]),
-            shift_minutes=int(doc["shift_minutes"]),
-            prep_mean_min=float(doc["prep_mean_min"]),
-            prep_var=float(doc["prep_var"]),
-            prep_noise_var=float(doc["prep_noise_var"]),
-            overdue_limit_min=float(doc["overdue_limit_min"]),
-            idle_threshold_min=float(doc["idle_threshold_min"]),
-            max_delivery_tasks=int(doc["max_delivery_tasks"]),
-            seed=int(doc.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scenario document: {exc}") from exc
+    """The scenario of a document `scenario_to_dict` wrote; see load_scenario."""
+    layout = doc["layout"]
+    rows = sorted(
+        (whole(gid, "grid id"), whole(q, "q"), whole(r, "r"), flag)
+        for gid, q, r, flag in layout["grids"]
+    )
+    if [row[0] for row in rows] != list(range(len(rows))):
+        raise ConfigError(f"layout grid ids must be 0..{len(rows) - 1}, each once")
+    for gid, _, _, flag in rows:
+        if not isinstance(flag, bool):
+            raise ConfigError(f"restaurant flag {flag!r} of grid {gid} is not true or false")
+    grids = tuple(HexCoord(q, r) for _, q, r, _ in rows)
+    region = ServiceRegion(grids, tuple(row[3] for row in rows), layout.get("name", "custom"))
+    rates = {
+        int(gid): {int(h): float(rate) for h, rate in row.items()}
+        for gid, row in doc["hourly_rates"].items()
+    }
+    od = {
+        int(gid): {int(d): float(p) for d, p in row.items()}
+        for gid, row in doc["od_probs"].items()
+    }
+    return ScenarioConfig(
+        region=region,
+        hourly_rates=rates,
+        od_probs=od,
+        fleet_size=whole(doc["fleet_size"], "fleet_size"),
+        shift_start_hour=whole(doc["shift_start_hour"], "shift_start_hour"),
+        shift_minutes=whole(doc["shift_minutes"], "shift_minutes"),
+        prep_mean_min=float(doc["prep_mean_min"]),
+        prep_var=float(doc["prep_var"]),
+        prep_noise_var=float(doc["prep_noise_var"]),
+        overdue_limit_min=float(doc["overdue_limit_min"]),
+        idle_threshold_min=float(doc["idle_threshold_min"]),
+        max_delivery_tasks=whole(doc["max_delivery_tasks"], "max_delivery_tasks"),
+        seed=whole(doc.get("seed", 0), "seed"),
+    )
 
 
 def save_scenario(path: Path, config: ScenarioConfig) -> None:
@@ -368,12 +370,7 @@ def save_scenario(path: Path, config: ScenarioConfig) -> None:
 
 
 def load_scenario(path: Path) -> ScenarioConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+    return load_document(path, SCENARIO_SCHEMA, "scenario", scenario_from_dict)
 
 
 def make_rng(*keys: int) -> np.random.Generator:

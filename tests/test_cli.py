@@ -13,7 +13,7 @@ from mealtwin.cli import EXPERIMENT_SCHEMA, main
 from mealtwin.errors import NumericalError
 from mealtwin.rlcore import ACT_LINEAR, ACT_RELU, NetSpec, QNet, load_qnet, save_qnet
 from mealtwin.scenario import default_scenario, load_scenario, save_scenario
-from mealtwin.simcore import events_from_csv
+from mealtwin.simcore import Event, events_from_csv, events_to_csv
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +386,77 @@ def test_simulate_refuses_a_negative_prep_variance(workspace, tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
+def gbt_model(workspace):
+    history = workspace / "history.csv"
+    model = workspace / "gbt.json"
+    scenario = str(workspace / "scenario.json")
+    assert main(["synth-history", "--scenario", scenario, "--weeks", "1", "--out", str(history)]) == 0
+    fit = ["--history", str(history), "--holdout", str(history), "--rounds", "2"]
+    assert main(["forecast-eval", "--scenario", scenario, *fit, "--model-out", str(model)]) == 0
+    return model
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt",
+    [
+        ("scenario", lambda doc: []),
+        ("scenario", lambda doc: {**doc, "hourly_rates": []}),
+        ("scenario", lambda doc: {**doc, "hourly_rates": {"7": [1]}}),
+        ("scenario", lambda doc: {**doc, "fleet_size": 2.9}),
+        ("scenario", lambda doc: {**doc, "max_delivery_tasks": True}),
+        ("weights", lambda doc: []),
+        ("weights", lambda doc: {**doc, "spec": {**doc["spec"], "input_dim": 14.5}}),
+        ("forecast model", lambda doc: []),
+        ("forecast model", lambda doc: {**doc, "grids": []}),
+    ],
+    ids=[
+        "scenario []",
+        "hourly_rates []",
+        "rate row []",
+        "fleet_size 2.9",
+        "max_delivery_tasks true",
+        "weights []",
+        "input_dim 14.5",
+        "forecast model []",
+        "grids []",
+    ],
+)
+def test_malformed_saved_files_exit_2(workspace, gbt_model, tmp_path, capsys, kind, corrupt):
+    """Each of these once exited 1 with an AttributeError or loaded silently."""
+    paths = {
+        "scenario": workspace / "scenario.json",
+        "weights": workspace / "weights_strategic" / "dispatch.json",
+        "forecast model": gbt_model,
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(paths[kind].read_text()))))
+    paths[kind] = bad
+    events = tmp_path / "events.csv"
+    capsys.readouterr()
+    code = main(
+        [
+            "simulate",
+            "--scenario",
+            str(paths["scenario"]),
+            "--variant",
+            "strategic",
+            "--strategic-dispatch",
+            str(paths["weights"]),
+            "--forecaster",
+            "gbt",
+            "--gbt-model",
+            str(paths["forecast model"]),
+            "--events-out",
+            str(events),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{kind} file {bad}" in err and "Traceback" not in err
+    assert not events.exists()
+
+
+@pytest.fixture(scope="module")
 def evaluated(workspace):
     outdir = workspace / "eval"
     code = main(
@@ -586,7 +657,7 @@ def test_report_rejects_bad_files(evaluated, tmp_path, capsys):
     text_gap = {**first, "gap_mean": "x"}
     bool_gap = {**first, "gap_mean": False}
     bool_served = {**first, "courier_served": [True, False]}
-    bad_runs = (short_run, text_gap, bool_gap, bool_served)
+    bad_runs = (short_run, text_gap, bool_gap, bool_served, {**first, "variant": None})
     for doc in (no_variants, *(with_run(run) for run in bad_runs), [good]):
         bad.write_text(json.dumps(doc))
         assert main(["report", "--comparison", str(bad)]) == 2
@@ -688,6 +759,18 @@ def test_snapshot_command(workspace, tmp_path, capsys):
     assert svg_out.read_text().startswith("<svg ")
     assert main(["snapshot", "--events", str(events_out), "--minute", "999", "--out", str(svg_out)]) == 2
     assert main(["snapshot", "--events", "missing.csv", "--minute", "0", "--out", str(svg_out)]) == 2
+
+
+@pytest.mark.parametrize("detail", [{}, {"idle": [0] * 25}, {"idle": 3, "gap": [0] * 25}, [1, 2]])
+def test_snapshot_refuses_a_detail_without_vectors(tmp_path, capsys, detail):
+    """A snapshot lacking its idle or gap list once exited 1 with a KeyError."""
+    events = tmp_path / "events.csv"
+    events_to_csv([Event(0, "region", "snapshot", detail)], events)
+    svg_out = tmp_path / "minute0.svg"
+    assert main(["snapshot", "--events", str(events), "--minute", "0", "--out", str(svg_out)]) == 2
+    err = capsys.readouterr().err
+    assert "snapshot for minute 0 needs 'idle' and 'gap'" in err and "Traceback" not in err
+    assert not svg_out.exists()
 
 
 def test_numerical_failure_maps_to_exit_3(workspace, monkeypatch, capsys):

@@ -21,7 +21,6 @@ from mealtwin.scenario import (
     sample_orders,
     sample_prep,
     save_scenario,
-    scenario_from_dict,
     scenario_to_dict,
     synth_history,
     write_transactions,
@@ -102,6 +101,11 @@ def test_config_validation():
         ("idle_threshold_min", math.inf),
         ("overdue_limit_min", -1.0),
         ("overdue_limit_min", math.nan),
+        ("fleet_size", 2.9),
+        ("max_delivery_tasks", True),
+        ("shift_minutes", 60.5),
+        ("shift_start_hour", "19"),
+        ("seed", -1),
     ],
 )
 def test_scenario_fields_are_checked_at_load(tmp_path, key, value):
@@ -270,13 +274,33 @@ def test_scenario_round_trip(tmp_path):
     assert scenario_to_dict(back) == scenario_to_dict(config)
 
 
-def test_scenario_from_dict_rejects_bad_docs():
-    with pytest.raises(ConfigError):
-        scenario_from_dict({"schema": "other/1"})
+def test_scenario_from_dict_rejects_bad_docs(tmp_path):
+    path = tmp_path / "scenario.json"
     doc = scenario_to_dict(default_scenario())
     del doc["fleet_size"]
-    with pytest.raises(ConfigError):
-        scenario_from_dict(doc)
+    for bad in ({"schema": "other/1"}, doc, []):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match="scenario file"):
+            load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "row, column, value, message",
+    [
+        (0, 3, "false", "restaurant flag 'false' of grid 0"),  # bool("false") is True
+        (0, 3, 0, "restaurant flag 0 of grid 0"),
+        (1, 0, 0, "grid ids must be 0..24, each once"),
+        (1, 0, 25, "grid ids must be 0..24, each once"),
+        (1, 1, 0.5, "q 0.5 is not a whole number"),
+    ],
+)
+def test_malformed_layout_rows_are_refused(tmp_path, row, column, value, message):
+    doc = scenario_to_dict(default_scenario())
+    doc["layout"]["grids"][row][column] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"scenario file .*{message}"):
+        load_scenario(path)
 
 
 def test_make_rng_streams():
