@@ -134,6 +134,14 @@ def _pick(flag_value, experiment: dict, key: str, default):
     return default
 
 
+def _seed(value: int, name: str) -> int:
+    """A seed from a flag or an experiment config; numpy seeds only from
+    integers >= 0."""
+    if value < 0:
+        raise ConfigError(f"{name} {value} is not >= 0")
+    return value
+
+
 def _parse_int_list(text: str) -> List[int]:
     text = text.strip()
     if not text:
@@ -227,7 +235,7 @@ def cmd_gen_scenario(args) -> int:
 
 def cmd_synth_history(args) -> int:
     config = load_scenario(Path(args.scenario))
-    seed = args.seed if args.seed is not None else config.seed
+    seed = _seed(args.seed, "--seed") if args.seed is not None else config.seed
     records = synth_history(config, args.weeks, make_rng(seed, 17))
     write_transactions(Path(args.out), records)
     print(f"wrote {len(records)} transactions over {args.weeks} weeks -> {args.out}")
@@ -246,7 +254,7 @@ def cmd_train(args) -> int:
     if len(episodes) != 3:
         raise ConfigError("--episodes needs exactly three comma-separated counts")
     mode = _pick(args.mode, experiment, "mode", MODE_STRATEGIC)
-    seed = _pick(args.seed, experiment, "train_seed", 0)
+    seed = _seed(_pick(args.seed, experiment, "train_seed", 0), "training seed")
     activation = _pick(args.output_activation, experiment, "output_activation", ACT_LINEAR)
     forecaster = _pick(
         args.forecaster,
@@ -319,6 +327,7 @@ def _write_trace(path: str, rows: List[dict], columns: Sequence[str]) -> None:
 
 
 def cmd_simulate(args) -> int:
+    seed = _seed(args.seed, "--seed")
     config = load_scenario(Path(args.scenario))
     if args.variant not in VARIANT_SETUP:
         raise ConfigError(f"unknown variant {args.variant!r}; pick from {', '.join(VARIANTS)}")
@@ -338,7 +347,7 @@ def cmd_simulate(args) -> int:
         dispatch_policy,
         steer_policy,
         predictor,
-        seed_key=(args.seed,),
+        seed_key=(seed,),
         variant=args.variant,
         run_id=0,
     )
@@ -368,7 +377,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs --scenario (or an experiment config with one)")
     config = load_scenario(Path(scenario_path))
     shifts = _pick(args.shifts, experiment, "shifts", 100)
-    eval_seed = _pick(args.eval_seed, experiment, "eval_seed", 1000)
+    eval_seed = _seed(_pick(args.eval_seed, experiment, "eval_seed", 1000), "evaluation seed")
     variants = _pick(args.variants, experiment, "variants", ",".join(VARIANTS))
     if isinstance(variants, str):
         variants = [v.strip() for v in variants.split(",") if v.strip()]

@@ -43,3 +43,11 @@ def whole(value, name: str) -> int:
     if type(value) is int or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigError(f"{name} {value!r} is not a whole number")
+
+
+def number(value, name: str) -> float:
+    """A saved real field: an int or a float; not a boolean or string, which
+    float() would take."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ConfigError(f"{name} {value!r} is not a number")

@@ -242,16 +242,20 @@ def run_study(
     """Each variant's runs on matched shifts 0..shifts-1 and its decision
     latencies (seconds); strategic-mode variants get the predictor.  Policies
     without a learner are stateless, so the results are the same in any order
-    and in any process: `workers` > 1 runs the shifts on a spawned pool."""
+    and in any process: `workers` > 1 runs the shifts on a spawned pool.
+
+    The tasks run shift by shift, every variant of a shift in turn, so each
+    shift's book is drawn, and forecast, once (see `ScenarioConfig.shift_book`)."""
     study_shift = partial(_study_shift, config, nets, predictor, eval_seed)
-    tasks = [(v, i) for v in variants for i in range(shifts)]
+    tasks = [(v, i) for i in range(shifts) for v in variants]
     if workers > 1:
         # Imported here: serial runs, the common case, never pay for the pool.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # One chunk per worker, so each worker unpickles the study once.
-        chunksize = max(1, math.ceil(len(tasks) / workers))
+        # One chunk of whole shifts per worker, so each worker unpickles the
+        # study once and draws the books of its own shifts.
+        chunksize = max(1, math.ceil(shifts / workers)) * len(variants)
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
             results = list(pool.map(study_shift, tasks, chunksize=chunksize))
@@ -259,6 +263,7 @@ def run_study(
         results = map(study_shift, tasks)
     runs: Dict[str, List[RunMetrics]] = {v: [] for v in variants}
     latencies: Dict[str, List[float]] = {v: [] for v in variants}
+    # Shift-major tasks append each variant's runs in shift order.
     for (v, _), (metrics, lat) in zip(tasks, results):
         runs[v].append(metrics)
         latencies[v].extend(lat)
@@ -483,6 +488,12 @@ def _run_from_dict(doc) -> RunMetrics:
         ):
             raise ConfigError(f"comparison run field {key!r} must hold numbers, got {value!r}")
         run[key] = tuple(value) if key in _RUN_SEQUENCES else value
+    # One entry per courier of a fleet of at least one.
+    lengths = {len(run[key]) for key in _RUN_SEQUENCES}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ConfigError(
+            f"comparison run {doc['run_id']!r} needs four non-empty courier lists of one length"
+        )
     # A shift with a delivery defines every statistic that the tests compare.
     scalars = [run[key] for key in _RUN_FIELDS - {"variant", *_RUN_SEQUENCES}]
     if not math.isnan(run["gap_mean"]) and not all(map(math.isfinite, scalars)):

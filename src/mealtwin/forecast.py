@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, load_document, whole
+from .errors import ConfigError, load_document, number, whole
 from .scenario import DEFAULT_SHIFT_WEEKDAY, ScenarioConfig, TransactionRecord
 
 GBT_SCHEMA = "mealtwin-gbt/1"
@@ -435,10 +435,10 @@ def _tree_from_dict(doc: dict, where: str) -> RegressionTree:
     none, and every feature index and number is usable."""
     tree = RegressionTree(
         feature=[whole(v, "feature") for v in doc["feature"]],
-        threshold=[float(v) for v in doc["threshold"]],
+        threshold=[number(v, "threshold") for v in doc["threshold"]],
         left=[whole(v, "left") for v in doc["left"]],
         right=[whole(v, "right") for v in doc["right"]],
-        value=[float(v) for v in doc["value"]],
+        value=[number(v, "value") for v in doc["value"]],
     )
     n = len(tree.feature)
     if not n or any(len(v) != n for v in (tree.threshold, tree.left, tree.right, tree.value)):
@@ -487,12 +487,12 @@ def _models_from_dict(doc: dict) -> Dict[int, GBTEnsemble]:
             rounds=whole(entry["params"]["rounds"], "rounds"),
             max_depth=whole(entry["params"]["max_depth"], "max_depth"),
             min_leaf=whole(entry["params"]["min_leaf"], "min_leaf"),
-            l2_reg=float(entry["params"]["l2_reg"]),
-            shrinkage=float(entry["params"]["shrinkage"]),
+            l2_reg=number(entry["params"]["l2_reg"], "l2_reg"),
+            shrinkage=number(entry["params"]["shrinkage"], "shrinkage"),
         )
         model = GBTEnsemble(
-            base_score=float(entry["base_score"]),
-            shrinkage=float(entry["shrinkage"]),
+            base_score=number(entry["base_score"], "base_score"),
+            shrinkage=number(entry["shrinkage"], "shrinkage"),
             trees=[
                 _tree_from_dict(t, f"grid {gid} tree {k}") for k, t in enumerate(entry["trees"])
             ],

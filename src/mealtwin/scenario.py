@@ -5,6 +5,12 @@ Order arrivals follow an inhomogeneous Poisson process per restaurant grid
 per-origin OD probability vector, and prep times from the two-stage normal
 model (estimated prep, then actual prep = estimate + noise, both clamped at
 zero).
+
+A shift's orders are exogenous: they depend on the config and the shift's
+seed key alone, whatever the policies do.  So a `ShiftBook` draws them once
+per seed key, and every simulation of that shift (every framework variant,
+both training modes) reads its orders and its demand forecasts from the
+book.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, load_document, whole
+from .errors import ConfigError, ContractError, load_document, number, whole
 from .hexgrid import DEFAULT_RESTAURANT_IDS, HexCoord, ServiceRegion, default_region
 
 SCENARIO_SCHEMA = "mealtwin-scenario/1"
@@ -38,6 +44,17 @@ DEFAULT_SHIFT_WEEKDAY = 5  # Saturday; shifts in synthetic history land on it
 # Poisson sampler, which refuses a mean above about 9.2e18.
 MAX_HOURLY_RATE = 1e6
 _SYNTH_BASE_DATE = date(2024, 1, 6)  # a Saturday
+# Shift books a config holds before it clears them; see ScenarioConfig.shift_book.
+BOOK_MEMO = 32
+# One order's draws in a ShiftBook: 24 bytes.
+DRAW = np.dtype(
+    [
+        ("restaurant", np.int32),
+        ("household", np.int32),
+        ("est_prep", np.float64),
+        ("actual_prep", np.float64),
+    ]
+)
 
 
 @dataclass
@@ -98,6 +115,10 @@ class ScenarioConfig:
     )
     # hour -> arrival rows; see arrival_rows.
     _hour_rows: Dict[int, Tuple[Tuple[int, float, np.ndarray, np.ndarray], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # seed key -> the shift's book; see shift_book.  Never pickled.
+    _books: Dict[Tuple[int, ...], "ShiftBook"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -187,6 +208,23 @@ class ScenarioConfig:
             rows = self._hour_rows[hour] = tuple(built)
         return rows
 
+    def shift_book(self, seed_key: Sequence[int]) -> "ShiftBook":
+        """The book of the shift under this seed key, drawn on the key's first
+        use.  The config holds at most BOOK_MEMO books and clears them when
+        full, so callers that replay a shift should replay it soon: a study
+        runs every variant of a shift before the next shift."""
+        key = tuple(seed_key)
+        book = self._books.get(key)
+        if book is None:
+            if len(self._books) >= BOOK_MEMO:
+                self._books.clear()
+            book = self._books[key] = ShiftBook(self, key)
+        return book
+
+    def __getstate__(self) -> dict:
+        # A pool worker gets the config without its books and draws its own.
+        return {**self.__dict__, "_books": {}}
+
 
 def sample_prep(config: ScenarioConfig, rng: np.random.Generator) -> Tuple[float, float]:
     """Draw (estimated, actual) prep minutes; both clamped at zero."""
@@ -233,6 +271,80 @@ def sample_orders(
             )
         )
     return orders
+
+
+class ShiftBook:
+    """The orders of one shift, drawn once, and the demand forecasts of
+    every predictor asked about it.
+
+    The draws are those of `sample_orders`, called minute by minute on the
+    order stream `make_rng(*seed_key, 0)`, held in one read-only `DRAW`
+    array: each order's restaurant, household, estimated and actual prep,
+    with minute t holding draws[starts[t]:starts[t+1]].  Each simulation of
+    the shift makes fresh `Order` objects from them (`orders`).
+
+    A predictor's forecast at minute t may depend only on t and the counts
+    of minutes 0..t.  So `demand` asks each predictor once per minute of
+    the shift, on a read-only view of counts[:, :t+1], and every simulation
+    of the shift with that predictor reads the same forecasts.
+    """
+
+    def __init__(self, config: ScenarioConfig, seed_key: Sequence[int]):
+        rng = make_rng(*seed_key, 0)
+        draws: List[Order] = []
+        starts = [0]
+        for minute in range(config.shift_minutes):
+            draws += sample_orders(config, minute, rng)
+            starts.append(len(draws))
+        self.grids = len(config.region)
+        self.starts = tuple(starts)
+        self.draws = np.array(
+            [(o.restaurant, o.household, o.est_prep, o.actual_prep) for o in draws], dtype=DRAW
+        )
+        self.draws.flags.writeable = False
+        # id(predictor) -> (predictor, its rounded forecast per minute); the
+        # entry holds the predictor, so no other object takes its id.
+        self._demand: Dict[int, Tuple[object, np.ndarray]] = {}
+
+    def orders(self, minute: int, id_start: int) -> List[Order]:
+        """Fresh orders placed in this minute, with ids from id_start."""
+        lo, hi = self.starts[minute], self.starts[minute + 1]
+        return [
+            Order(id_start + i, minute, *draw)
+            for i, draw in enumerate(self.draws[lo:hi].tolist())
+        ]
+
+    def counts(self) -> np.ndarray:
+        """Orders per restaurant grid and minute, shape (grids, minutes)."""
+        minutes = np.repeat(np.arange(len(self.starts) - 1), np.diff(self.starts))
+        counts = np.zeros((self.grids, len(self.starts) - 1), dtype=np.float64)
+        np.add.at(counts, (self.draws["restaurant"], minutes), 1.0)
+        return counts
+
+    def demand(self, predictor, minute: int) -> np.ndarray:
+        """The predictor's 15-minute demand forecast at this minute, one
+        whole number of orders per grid id: clamped at zero and rounded half
+        up.  The first call for a predictor forecasts every minute of the
+        shift; the result is a read-only row."""
+        held = self._demand.get(id(predictor))
+        if held is None:
+            counts = self.counts()
+            counts.flags.writeable = False
+            table = np.empty((counts.shape[1], self.grids), dtype=np.int64)
+            for t in range(len(table)):
+                raw = np.asarray(predictor.predict(t, counts[:, : t + 1]))
+                if raw.shape != (self.grids,):
+                    raise ContractError(
+                        f"predictor returned shape {raw.shape}, expected ({self.grids},)"
+                    )
+                table[t] = round_half_up(np.maximum(raw, 0.0, dtype=np.float64))
+            table.flags.writeable = False
+            held = self._demand[id(predictor)] = (predictor, table)
+        return held[1][minute]
+
+
+def round_half_up(x: np.ndarray) -> np.ndarray:
+    return np.floor(x + 0.5).astype(np.int64)
 
 
 def synth_history(
@@ -339,11 +451,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     grids = tuple(HexCoord(q, r) for _, q, r, _ in rows)
     region = ServiceRegion(grids, tuple(row[3] for row in rows), layout.get("name", "custom"))
     rates = {
-        int(gid): {int(h): float(rate) for h, rate in row.items()}
+        int(gid): {int(h): number(rate, f"rate of grid {gid} hour {h}") for h, rate in row.items()}
         for gid, row in doc["hourly_rates"].items()
     }
     od = {
-        int(gid): {int(d): float(p) for d, p in row.items()}
+        int(gid): {int(d): number(p, f"od probability {gid}->{d}") for d, p in row.items()}
         for gid, row in doc["od_probs"].items()
     }
     return ScenarioConfig(
@@ -353,11 +465,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         fleet_size=whole(doc["fleet_size"], "fleet_size"),
         shift_start_hour=whole(doc["shift_start_hour"], "shift_start_hour"),
         shift_minutes=whole(doc["shift_minutes"], "shift_minutes"),
-        prep_mean_min=float(doc["prep_mean_min"]),
-        prep_var=float(doc["prep_var"]),
-        prep_noise_var=float(doc["prep_noise_var"]),
-        overdue_limit_min=float(doc["overdue_limit_min"]),
-        idle_threshold_min=float(doc["idle_threshold_min"]),
+        prep_mean_min=number(doc["prep_mean_min"], "prep_mean_min"),
+        prep_var=number(doc["prep_var"], "prep_var"),
+        prep_noise_var=number(doc["prep_noise_var"], "prep_noise_var"),
+        overdue_limit_min=number(doc["overdue_limit_min"], "overdue_limit_min"),
+        idle_threshold_min=number(doc["idle_threshold_min"], "idle_threshold_min"),
         max_delivery_tasks=whole(doc["max_delivery_tasks"], "max_delivery_tasks"),
         seed=whole(doc.get("seed", 0), "seed"),
     )

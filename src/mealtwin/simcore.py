@@ -35,6 +35,9 @@ rows builds it at its first query after each minute's row refresh and after
 each `refresh_predictions`; a row rebuilt within the minute moves its unit
 of anticipated supply in place.  In myopic mode it is the held idle counts
 minus the held pending counts.
+
+A shift's orders and its demand forecasts come from the config's
+`ShiftBook` for the seed key, which every simulation of that shift shares.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .hexgrid import MINUTES_PER_UNIT
-from .scenario import Order, ScenarioConfig, make_rng, sample_orders
+from .scenario import Order, ScenarioConfig, make_rng
 
 EVENTS_HEADER = ("minute", "entity", "event", "detail")
 
@@ -148,10 +151,9 @@ class SimState:
         self.mode = mode
         self.predictor = predictor
         self.clock = 0
-        key = list(seed_key)
-        self.rng_orders = make_rng(*key, 0)
-        self.rng_policy = make_rng(*key, 1)
-        self.rng_setup = make_rng(*key, 2)
+        self.book = config.shift_book(seed_key)
+        self.rng_policy = make_rng(*seed_key, 1)
+        self.rng_setup = make_rng(*seed_key, 2)
         n = len(self.region)
         self.couriers = [
             Courier(id=i, grid=int(self.rng_setup.integers(n)))
@@ -163,10 +165,8 @@ class SimState:
         self.sampled = 0
         self.delivered = 0
         self.overdue = 0
-        self.minute_counts = np.zeros((n, config.shift_minutes), dtype=np.float64)
-        # Predicted 15-minute demand per grid and its half-up rounding, held
-        # from one refresh_predictions to the next.
-        self.predicted = np.zeros(n, dtype=np.float64)
+        # Predicted 15-minute demand per grid in whole orders, held from one
+        # refresh_predictions to the next.
         self.rounded_demand = np.zeros(n, dtype=np.int64)
         # Courier rows, the minute they were last brought up to date at, the
         # couriers whose rows must be projected again (at first, all), and
@@ -348,18 +348,15 @@ class SimState:
     # ------------------------------------------------------------- gap queries
 
     def refresh_predictions(self) -> None:
-        """Ask the predictor once for every grid's demand at this minute;
-        zero demand in myopic mode or without a predictor."""
-        n = len(self.region)
+        """Read every grid's demand at this minute from the predictor's
+        forecasts in the shift's book; zero demand in myopic mode or without
+        a predictor."""
+        if self.clock >= self.config.shift_minutes:
+            raise ContractError("the shift is already over")
         if self.predictor is None or self.mode == MODE_MYOPIC:
-            predicted = np.zeros(n, dtype=np.float64)
+            self.rounded_demand = np.zeros(len(self.region), dtype=np.int64)
         else:
-            raw = np.asarray(self.predictor.predict(self.clock, self.minute_counts))
-            if raw.shape != (n,):
-                raise ContractError(f"predictor returned shape {raw.shape}, expected ({n},)")
-            predicted = np.maximum(raw, 0.0, dtype=np.float64)
-        self.predicted = predicted
-        self.rounded_demand = _round_half_up(predicted)
+            self.rounded_demand = self.book.demand(self.predictor, self.clock)
         self._field_ok = False
         self.revision += 1
 
@@ -477,14 +474,13 @@ class SimState:
         dispatch_fn: Callable[["SimState", int, List[int]], None],
         steer_fn: Optional[Callable[["SimState", int], None]] = None,
     ) -> None:
-        """One simulated minute: sample, forecast, dispatch, steer, advance."""
+        """One simulated minute: place the book's orders, forecast, dispatch,
+        steer, advance."""
         if self.clock >= self.config.shift_minutes:
             raise ContractError("the shift is already over")
-        t = self.clock
-        for o in sample_orders(self.config, t, self.rng_orders, self.next_order_id):
+        for o in self.book.orders(self.clock, self.next_order_id):
             self.place_order(o)
             self.sampled += 1
-            self.minute_counts[o.restaurant, t] += 1.0
             self.log(
                 f"order:{o.id}",
                 "placed",
@@ -677,10 +673,6 @@ class SimState:
                 self._advance_courier(c, until)
         self.clock += 1
         self.revision += 1
-
-
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5).astype(np.int64)
 
 
 # ------------------------------------------------------------------- event io

@@ -3,7 +3,8 @@
 None of this runs in a training or evaluation: toy MDPs with a tabular
 Q-learning oracle and a full DDQN loop over them, the replay ring as a list
 of per-transition records, the finite-difference gradient of the TD loss,
-epsilon-greedy selection over the valid subset of actions, lag features
+epsilon-greedy selection over the valid subset of actions, a shift's orders
+drawn minute by minute as a simulation drew them before shift books, lag features
 built straight from transaction records, the forecaster's per-node split
 search with a fresh sort per feature, the scalar walk of its trees, the hex
 distance formula, a fleet projection (its own walk over each queue, on that
@@ -36,7 +37,14 @@ from mealtwin.rlcore import (
     sync_target,
 )
 from mealtwin.hexgrid import MINUTES_PER_UNIT, HexCoord, ServiceRegion
-from mealtwin.scenario import DEFAULT_SHIFT_WEEKDAY, ScenarioConfig, TransactionRecord
+from mealtwin.scenario import (
+    DEFAULT_SHIFT_WEEKDAY,
+    Order,
+    ScenarioConfig,
+    TransactionRecord,
+    make_rng,
+    sample_orders,
+)
 from mealtwin.simcore import (
     ANTICIPATION_MIN,
     DELIVERY,
@@ -288,6 +296,22 @@ def ddqn_toy_train(
             if done:
                 break
     return value
+
+
+# ------------------------------------------------------------------ orders
+
+
+def minute_draws(config: ScenarioConfig, seed_key: Sequence[int]) -> List[List[Order]]:
+    """Each minute's orders of the shift under this seed key, drawn with
+    `sample_orders` minute by minute on the order stream (*seed_key, 0), with
+    ids running on from 0."""
+    rng = make_rng(*seed_key, 0)
+    minutes: List[List[Order]] = []
+    next_id = 0
+    for minute in range(config.shift_minutes):
+        minutes.append(sample_orders(config, minute, rng, next_id))
+        next_id += len(minutes[-1])
+    return minutes
 
 
 # ---------------------------------------------------------------- lag features

@@ -243,6 +243,46 @@ def test_evaluate_refuses_counts_below_one(workspace, tmp_path, capsys, source, 
     assert not outdir.exists()  # refused before any shift ran
 
 
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        ("train", "--seed"),
+        ("train", "train_seed"),
+        ("evaluate", "--eval-seed"),
+        ("evaluate", "eval_seed"),
+        ("synth-history", "--seed"),
+        ("simulate", "--seed"),
+    ],
+)
+def test_negative_seeds_exit_2(workspace, tmp_path, capsys, command, source):
+    """numpy seeds only from integers >= 0; a negative seed, from a flag or
+    an experiment config key, is refused before any work, with exit 2 and no
+    traceback."""
+    scenario = str(workspace / "scenario.json")
+    outdir = tmp_path / "out"
+    argv = [command]
+    if command == "synth-history":
+        argv += ["--weeks", "1", "--out", str(tmp_path / "history.csv")]
+    elif command == "simulate":
+        argv += ["--events-out", str(tmp_path / "events.csv")]
+    else:
+        argv += ["--variants", "nearest_idle"] if command == "evaluate" else ["--episodes", "1,1,1"]
+        argv += ["--outdir", str(outdir)]
+    if source.startswith("--"):
+        argv += ["--scenario", scenario, source, "-1"]
+    else:
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(
+            json.dumps({"schema": EXPERIMENT_SCHEMA, "scenario": scenario, source: -3})
+        )
+        argv += ["--config", str(config_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "is not >= 0" in err and "Traceback" not in err
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ([] if source.startswith("--") else ["experiment.json"])
+
+
 def test_simulate_nearest_idle(workspace, tmp_path, capsys):
     events_out = tmp_path / "events.csv"
     trace = tmp_path / "trace.csv"
@@ -657,7 +697,13 @@ def test_report_rejects_bad_files(evaluated, tmp_path, capsys):
     text_gap = {**first, "gap_mean": "x"}
     bool_gap = {**first, "gap_mean": False}
     bool_served = {**first, "courier_served": [True, False]}
-    bad_runs = (short_run, text_gap, bool_gap, bool_served, {**first, "variant": None})
+    couriers = ("courier_delivery_minutes", "courier_idle_minutes", "courier_served", "courier_distance")
+    no_couriers = {**first, **{key: [] for key in couriers}}
+    uneven_couriers = {**first, "courier_served": first["courier_served"][1:]}
+    bad_runs = (
+        short_run, text_gap, bool_gap, bool_served, {**first, "variant": None},
+        no_couriers, uneven_couriers,
+    )
     for doc in (no_variants, *(with_run(run) for run in bad_runs), [good]):
         bad.write_text(json.dumps(doc))
         assert main(["report", "--comparison", str(bad)]) == 2

@@ -114,3 +114,27 @@ def test_a_damaged_document_loads_or_raises_config_error(tmp_path_factory, kind)
             assert kind in str(exc)
 
     damaged_document()
+
+
+@pytest.mark.parametrize("kind", ["scenario", "forecast model"])
+def test_a_number_replaced_by_a_boolean_or_text_is_refused(tmp_path, kind):
+    """Every number of these documents is read as one: a boolean or a
+    numeric string in its place, which int() or float() would take, is
+    refused."""
+    save, load = KINDS[kind]
+    path = tmp_path / "doc.json"
+    save(path)
+    saved = json.loads(path.read_text())
+    numbers = [node for node in _paths(saved) if type(_leaf(saved, node)) in (int, float)]
+    assert len(numbers) > 10
+    for node in numbers:
+        for value in (True, False, "1", "0.5"):
+            path.write_text(json.dumps(_replaced(saved, node, value)))
+            with pytest.raises(ConfigError, match=kind):
+                load(path)
+
+
+def _leaf(node, path):
+    for key in path:
+        node = node[key]
+    return node

@@ -2,13 +2,16 @@
 
 import json
 import math
+import pickle
 from datetime import datetime
 
 import numpy as np
 import pytest
+from oracles import minute_draws
 
+from mealtwin import scenario
 from mealtwin.errors import ConfigError
-from mealtwin.hexgrid import default_region
+from mealtwin.hexgrid import DEFAULT_RESTAURANT_IDS, default_region, offset_rect_region
 from mealtwin.scenario import (
     DEFAULT_SHIFT_WEEKDAY,
     MAX_HOURLY_RATE,
@@ -224,6 +227,99 @@ def test_sampling_is_deterministic_per_stream():
     ]
     # A different stream key almost surely changes the draw sequence.
     assert a != c or [o.actual_prep for o in a] != [o.actual_prep for o in c]
+
+
+BOOK_SCENARIOS = {
+    "default": lambda: default_scenario(seed=2),
+    "zero rates": lambda: ScenarioConfig(
+        default_region(), {g: {19: 0.0, 20: 0.0} for g in DEFAULT_RESTAURANT_IDS}, {}
+    ),
+    "busy late corner": lambda: ScenarioConfig(
+        offset_rect_region(3, 2, (0, 4)),
+        {0: {22: 600.0, 23: 90.0}, 4: {22: 30.0, 23: 0.0}},
+        {0: {1: 0.25, 5: 0.75}, 4: {4: 1.0}},
+        fleet_size=2,
+        shift_start_hour=22,
+        shift_minutes=75,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed_key", [(0,), (7, 3), (1000, 19)])
+@pytest.mark.parametrize("name", BOOK_SCENARIOS)
+def test_book_draws_equal_minute_by_minute_sampling(name, seed_key):
+    config = BOOK_SCENARIOS[name]()
+    book = config.shift_book(seed_key)
+    expected = minute_draws(config, seed_key)
+    counts = np.zeros((len(config.region), config.shift_minutes))
+    next_id = 0
+    for minute, orders in enumerate(expected):
+        placed = book.orders(minute, next_id)
+        assert placed == orders
+        for o in placed:
+            assert (type(o.restaurant), type(o.household)) == (int, int)
+            assert (type(o.est_prep), type(o.actual_prep)) == (float, float)
+            counts[o.restaurant, minute] += 1
+        next_id += len(orders)
+        assert book.orders(minute, 0) == book.orders(minute, 0)  # fresh, equal orders
+    assert (next_id == 0) == (name == "zero rates")
+    assert book.counts().tobytes() == counts.tobytes()
+
+
+class RecordingPredictor:
+    """Forecasts minute + 0.5 everywhere; keeps what every call saw."""
+
+    def __init__(self):
+        self.calls = []
+
+    def predict(self, minute, counts):
+        self.calls.append((minute, counts.shape, counts.flags.writeable, counts.copy()))
+        return np.full(len(counts), minute + 0.5)
+
+
+def test_book_asks_each_predictor_once_per_minute():
+    from mealtwin.simcore import MODE_STRATEGIC, SimState
+
+    config = default_scenario(seed=2)
+    first, second = RecordingPredictor(), RecordingPredictor()
+    for predictor in (first, first, second, first):
+        sim = SimState(config, mode=MODE_STRATEGIC, predictor=predictor, seed_key=(5, 1))
+        seen = []
+        sim.run(lambda s, oid, remaining: seen.append((s.clock, s.rounded_demand[7])))
+        assert sim.book is config.shift_book((5, 1))
+        # Every sim reads the book's forecast: minute + 0.5, rounded half up.
+        assert seen and all(demand == minute + 1 for minute, demand in seen)
+    counts = config.shift_book((5, 1)).counts()
+    for stub in (first, second):
+        assert [minute for minute, *_ in stub.calls] == list(range(config.shift_minutes))
+        for minute, shape, writeable, seen in stub.calls:
+            assert shape == (len(config.region), minute + 1) and not writeable
+            assert seen.tobytes() == counts[:, : minute + 1].tobytes()
+
+
+def test_book_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(scenario, "BOOK_MEMO", 2)
+    config = default_scenario(seed=2)
+    first = config.shift_book((1, 0))
+    assert config.shift_book([1, 0]) is first
+    config.shift_book((2, 0))
+    config.shift_book((3, 0))  # the memo was full: cleared first
+    assert list(config._books) == [(3, 0)]
+    again = config.shift_book((1, 0))
+    assert again is not first
+    assert [again.orders(t, 0) for t in range(120)] == [first.orders(t, 0) for t in range(120)]
+
+
+def test_config_pickles_without_its_books():
+    config = default_scenario(seed=2)
+    predictor = RecordingPredictor()
+    for i in range(3):
+        config.shift_book((i,)).demand(predictor, 0)
+    data = pickle.dumps(config)
+    assert b"ShiftBook" not in data and b"RecordingPredictor" not in data
+    copy = pickle.loads(data)
+    assert copy == config and copy._books == {} and len(config._books) == 3
+    assert copy.shift_book((1,)).orders(30, 0) == config.shift_book((1,)).orders(30, 0)
 
 
 def test_synth_history_lands_on_saturdays():

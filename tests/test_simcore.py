@@ -11,7 +11,7 @@ import pytest
 
 from mealtwin.errors import ConfigError, ContractError
 from mealtwin.hexgrid import default_region
-from mealtwin.scenario import Order, ScenarioConfig, default_scenario
+from mealtwin.scenario import Order, ScenarioConfig, default_scenario, round_half_up
 from mealtwin.simcore import (
     IDLE,
     LEGAL_TRANSITIONS,
@@ -25,7 +25,6 @@ from mealtwin.simcore import (
     Event,
     events_from_csv,
     events_to_csv,
-    _round_half_up,
 )
 
 
@@ -331,11 +330,13 @@ def test_predictor_called_once_per_strategic_minute():
         sim = make_sim(fleet=2, mode=mode, grids=(7, 8))
         stub = StubPredictor({7: 1.6})
         sim.predictor = stub
-        sim.run(noop)
-        assert stub.minutes == expected
         # Myopic mode holds zero demand even with a predictor set.
         sim.refresh_predictions()
         assert sim.rounded_demand.sum() == (2 if mode == MODE_STRATEGIC else 0)
+        sim.run(noop)
+        assert stub.minutes == expected
+        with pytest.raises(ContractError, match="over"):
+            sim.refresh_predictions()
 
 
 def test_predictor_shape_is_checked():
@@ -345,12 +346,12 @@ def test_predictor_shape_is_checked():
         sim.refresh_predictions()
 
 
-def test_round_half_up():
-    assert _round_half_up(0.5) == 1
-    assert _round_half_up(1.49) == 1
-    assert _round_half_up(2.5) == 3
-    assert _round_half_up(-0.5) == 0
-    assert _round_half_up(-0.51) == -1
+def testround_half_up():
+    assert round_half_up(0.5) == 1
+    assert round_half_up(1.49) == 1
+    assert round_half_up(2.5) == 3
+    assert round_half_up(-0.5) == 0
+    assert round_half_up(-0.51) == -1
 
 
 def test_snapshot_and_summary_accounting():
@@ -419,9 +420,10 @@ def test_minute_counts_track_placements():
     sim = SimState(default_scenario(seed=1), mode=MODE_MYOPIC, seed_key=(5,))
     tick(sim, 30)
     placed = [e for e in sim.events if e.event == "placed"]
-    assert sim.minute_counts.sum() == len(placed)
+    counts = sim.book.counts()[:, : sim.clock]
+    assert counts.sum() == len(placed)
     for e in placed:
-        assert sim.minute_counts[e.detail["restaurant"], e.minute] >= 1
+        assert counts[e.detail["restaurant"], e.minute] >= 1
 
 
 def test_events_csv_round_trip(tmp_path):
