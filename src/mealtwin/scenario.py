@@ -315,7 +315,8 @@ class ShiftBook:
         ]
 
     def counts(self) -> np.ndarray:
-        """Orders per restaurant grid and minute, shape (grids, minutes)."""
+        """Orders placed per grid and minute of the shift, shape (grids,
+        minutes), as the float64 matrix that predictors read."""
         minutes = np.repeat(np.arange(len(self.starts) - 1), np.diff(self.starts))
         counts = np.zeros((self.grids, len(self.starts) - 1), dtype=np.float64)
         np.add.at(counts, (self.draws["restaurant"], minutes), 1.0)
@@ -323,9 +324,11 @@ class ShiftBook:
 
     def demand(self, predictor, minute: int) -> np.ndarray:
         """The predictor's 15-minute demand forecast at this minute, one
-        whole number of orders per grid id: clamped at zero and rounded half
-        up.  The first call for a predictor forecasts every minute of the
-        shift; the result is a read-only row."""
+        whole number of orders per grid id (int64): clamped at zero and
+        rounded half up.  The first call for a predictor forecasts every
+        minute of the shift, and the book keeps the table in the narrowest
+        integer type that holds it, one byte a grid and minute on the default
+        scenario."""
         held = self._demand.get(id(predictor))
         if held is None:
             counts = self.counts()
@@ -338,12 +341,13 @@ class ShiftBook:
                         f"predictor returned shape {raw.shape}, expected ({self.grids},)"
                     )
                 table[t] = round_half_up(np.maximum(raw, 0.0, dtype=np.float64))
-            table.flags.writeable = False
-            held = self._demand[id(predictor)] = (predictor, table)
-        return held[1][minute]
+            narrow = np.result_type(*map(np.min_scalar_type, (table.min(), table.max())))
+            held = self._demand[id(predictor)] = (predictor, table.astype(narrow))
+        return held[1][minute].astype(np.int64)
 
 
 def round_half_up(x: np.ndarray) -> np.ndarray:
+    """Nearest whole number as int64, halves rounded up."""
     return np.floor(x + 0.5).astype(np.int64)
 
 

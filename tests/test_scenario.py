@@ -21,6 +21,7 @@ from mealtwin.scenario import (
     load_scenario,
     make_rng,
     read_transactions,
+    round_half_up,
     sample_orders,
     sample_prep,
     save_scenario,
@@ -295,6 +296,25 @@ def test_book_asks_each_predictor_once_per_minute():
         for minute, shape, writeable, seen in stub.calls:
             assert shape == (len(config.region), minute + 1) and not writeable
             assert seen.tobytes() == counts[:, : minute + 1].tobytes()
+
+
+@pytest.mark.parametrize("top", [0.0, 255.4, 255.5, 7e4, 3e9, 1e15])
+def test_book_forecasts_are_whole_orders_of_any_size(top):
+    """The book narrows its forecast table to the values it holds; every
+    forecast still reads back as the int64 half-up rounding of the clamped
+    prediction."""
+
+    class Ramp:
+        def predict(self, minute, counts):
+            return np.linspace(-3.0, top, len(counts)) * (minute + 1) / 120
+
+    config = default_scenario(seed=2)
+    book = config.shift_book((4,))
+    predictor = Ramp()
+    for minute in (0, 1, 59, 119):
+        expected = round_half_up(np.maximum(predictor.predict(minute, np.zeros((25, 1))), 0.0))
+        demand = book.demand(predictor, minute)
+        assert demand.dtype == np.int64 and demand.tolist() == expected.tolist()
 
 
 def test_book_memo_is_bounded(monkeypatch):
