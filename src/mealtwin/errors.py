@@ -48,6 +48,8 @@ def whole(value, name: str) -> int:
 def number(value, name: str) -> float:
     """A saved real field: an int or a float; not a boolean or string, which
     float() would take."""
-    if type(value) in (int, float):
+    if type(value) is float:
+        return value
+    if type(value) is int:
         return float(value)
     raise ConfigError(f"{name} {value!r} is not a number")

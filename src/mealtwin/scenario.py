@@ -455,11 +455,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     grids = tuple(HexCoord(q, r) for _, q, r, _ in rows)
     region = ServiceRegion(grids, tuple(row[3] for row in rows), layout.get("name", "custom"))
     rates = {
-        int(gid): {int(h): number(rate, f"rate of grid {gid} hour {h}") for h, rate in row.items()}
+        int(gid): {int(h): number(rate, "hourly rate") for h, rate in row.items()}
         for gid, row in doc["hourly_rates"].items()
     }
     od = {
-        int(gid): {int(d): number(p, f"od probability {gid}->{d}") for d, p in row.items()}
+        int(gid): {int(d): number(p, "od probability") for d, p in row.items()}
         for gid, row in doc["od_probs"].items()
     }
     return ScenarioConfig(
