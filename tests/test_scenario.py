@@ -29,6 +29,7 @@ from mealtwin.scenario import (
     synth_history,
     write_transactions,
 )
+from mealtwin.simcore import MODE_STRATEGIC, SimState
 
 
 def test_default_scenario_rates_and_od():
@@ -279,8 +280,6 @@ class RecordingPredictor:
 
 
 def test_book_asks_each_predictor_once_per_minute():
-    from mealtwin.simcore import MODE_STRATEGIC, SimState
-
     config = default_scenario(seed=2)
     first, second = RecordingPredictor(), RecordingPredictor()
     for predictor in (first, first, second, first):

@@ -346,7 +346,7 @@ def test_predictor_shape_is_checked():
         sim.refresh_predictions()
 
 
-def testround_half_up():
+def test_round_half_up():
     assert round_half_up(0.5) == 1
     assert round_half_up(1.49) == 1
     assert round_half_up(2.5) == 3
