@@ -531,8 +531,9 @@ def write_metrics_csv(path: Path, report: ComparisonReport) -> None:
             writer.writerow(row)
 
 
-def write_pvalues_csv(path: Path, report: ComparisonReport, metric: str = "time_gap_mean") -> None:
-    table = report.pairwise_p.get(metric, {})
+def write_pvalues_csv(path: Path, report: ComparisonReport) -> None:
+    """The pairwise p-values of the mean time gap."""
+    table = report.pairwise_p.get("time_gap_mean", {})
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant_a", "variant_b", "p_value"])

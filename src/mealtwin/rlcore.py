@@ -278,13 +278,8 @@ class ReplayBuffer:
         )
 
 
-def epsilon_schedule(
-    learn_steps: int,
-    start: float = EPSILON_START,
-    decay: float = EPSILON_DECAY,
-    floor: float = EPSILON_FLOOR,
-) -> float:
-    return max(decay**learn_steps * start, floor)
+def epsilon_schedule(learn_steps: int, start: float = EPSILON_START) -> float:
+    return max(EPSILON_DECAY**learn_steps * start, EPSILON_FLOOR)
 
 
 def select_action(
@@ -419,6 +414,20 @@ def save_qnet(path: Path, net: QNet, meta: Optional[Dict] = None) -> None:
         fh.write("\n")
 
 
+def _weights(value, shape: Tuple[int, ...], name: str) -> np.ndarray:
+    """A saved weight array of this shape: JSON numbers, not booleans or
+    strings, which float64 would take, and all finite."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != shape:
+        raise ConfigError(f"{name} has shape {arr.shape}, expected {shape}")
+    cells = value if len(shape) == 1 else [v for row in value for v in row]
+    if not {type(v) for v in cells} <= {int, float}:
+        raise ConfigError(f"{name} holds a value that is not a number")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name} holds a value that is not finite")
+    return arr
+
+
 def _qnet_from_dict(doc: dict) -> Tuple[QNet, Dict]:
     spec = NetSpec(
         input_dim=whole(doc["spec"]["input_dim"], "input_dim"),
@@ -429,21 +438,14 @@ def _qnet_from_dict(doc: dict) -> Tuple[QNet, Dict]:
     )
     net = QNet(spec)
     if spec.embed_groups:
-        embed = np.asarray(doc["embed"], dtype=np.float64)
-        if embed.shape != (3,):
-            raise ConfigError("embedding weights must be a triple")
-        net.embed[:] = embed
+        net.embed[:] = _weights(doc["embed"], (3,), "embedding")
     if len(doc["layers"]) != len(net.weights):
         raise ConfigError("layer count mismatch")
-    for (din, dout), view_w, view_b, layer in zip(
-        net._shapes, net.weights, net.biases, doc["layers"]
+    for i, ((din, dout), view_w, view_b, layer) in enumerate(
+        zip(net._shapes, net.weights, net.biases, doc["layers"])
     ):
-        w = np.asarray(layer["w"], dtype=np.float64)
-        b = np.asarray(layer["b"], dtype=np.float64)
-        if w.shape != (din, dout) or b.shape != (dout,):
-            raise ConfigError(f"layer shape {w.shape}/{b.shape}, expected {(din, dout)}/{(dout,)}")
-        view_w[:] = w
-        view_b[:] = b
+        view_w[:] = _weights(layer["w"], (din, dout), f"layer {i} w")
+        view_b[:] = _weights(layer["b"], (dout,), f"layer {i} b")
     return net, dict(doc.get("meta", {}))
 
 

@@ -113,10 +113,6 @@ class ScenarioConfig:
     _od_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # hour -> arrival rows; see arrival_rows.
-    _hour_rows: Dict[int, Tuple[Tuple[int, float, np.ndarray, np.ndarray], ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     # seed key -> the shift's book; see shift_book.  Never pickled.
     _books: Dict[Tuple[int, ...], "ShiftBook"] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -190,24 +186,6 @@ class ScenarioConfig:
         except KeyError:
             raise ConfigError(f"no arrival rate configured for grid {gid} hour {hour}")
 
-    def arrival_rows(self, hour: int) -> Tuple[Tuple[int, float, np.ndarray, np.ndarray], ...]:
-        """(restaurant grid, arrivals per minute, destinations, cumulative
-        probabilities) of every restaurant grid with orders in this hour, in
-        grid order; built on the hour's first use."""
-        rows = self._hour_rows.get(hour)
-        if rows is None:
-            built = []
-            for gid in self.region.restaurant_ids:
-                lam = self.rate_for(gid, hour) / 60.0
-                if not lam > 0:
-                    continue
-                dests, cum = self._od_cache.get(gid, (None, None))
-                if dests is None or len(dests) == 0:
-                    raise ConfigError(f"no od probabilities configured for grid {gid}")
-                built.append((gid, lam, dests, cum))
-            rows = self._hour_rows[hour] = tuple(built)
-        return rows
-
     def shift_book(self, seed_key: Sequence[int]) -> "ShiftBook":
         """The book of the shift under this seed key, drawn on the key's first
         use.  The config holds at most BOOK_MEMO books and clears them when
@@ -237,40 +215,29 @@ def _sample_arrivals(
     config: ScenarioConfig, minute: int, rng: np.random.Generator
 ) -> List[Tuple[int, int]]:
     """Poisson arrival (origin, destination) pairs for one simulated minute."""
+    hour = config.hour_at(minute)
     pairs: List[Tuple[int, int]] = []
-    for gid, lam, dests, cum in config.arrival_rows(config.hour_at(minute)):
-        count = int(rng.poisson(lam))
-        for _ in range(count):
+    for gid in config.region.restaurant_ids:
+        lam = config.rate_for(gid, hour) / 60.0
+        if not lam > 0:
+            continue
+        dests, cum = config._od_cache[gid]
+        for _ in range(int(rng.poisson(lam))):
             household = int(dests[int(np.searchsorted(cum, rng.random(), side="right"))])
             pairs.append((gid, household))
     return pairs
 
 
 def sample_orders(
-    config: ScenarioConfig,
-    minute: int,
-    rng: np.random.Generator,
-    id_start: int = 0,
-) -> List[Order]:
-    """Sample the orders arriving during one minute of the shift.
-
-    Order ids continue from id_start, so successive calls with the running
-    counter yield strictly increasing ids.
-    """
-    orders = []
-    for origin, household in _sample_arrivals(config, minute, rng):
-        est, actual = sample_prep(config, rng)
-        orders.append(
-            Order(
-                id=id_start + len(orders),
-                placed_at=minute,
-                restaurant=origin,
-                household=household,
-                est_prep=est,
-                actual_prep=actual,
-            )
-        )
-    return orders
+    config: ScenarioConfig, minute: int, rng: np.random.Generator
+) -> List[Tuple[int, int, float, float]]:
+    """The draws of the orders arriving during one minute of the shift:
+    (restaurant, household, estimated prep, actual prep) per order.  Every
+    arrival of the minute is drawn before the first prep time."""
+    return [
+        (origin, household, *sample_prep(config, rng))
+        for origin, household in _sample_arrivals(config, minute, rng)
+    ]
 
 
 class ShiftBook:
@@ -291,26 +258,24 @@ class ShiftBook:
 
     def __init__(self, config: ScenarioConfig, seed_key: Sequence[int]):
         rng = make_rng(*seed_key, 0)
-        draws: List[Order] = []
+        draws: List[Tuple[int, int, float, float]] = []
         starts = [0]
         for minute in range(config.shift_minutes):
             draws += sample_orders(config, minute, rng)
             starts.append(len(draws))
         self.grids = len(config.region)
         self.starts = tuple(starts)
-        self.draws = np.array(
-            [(o.restaurant, o.household, o.est_prep, o.actual_prep) for o in draws], dtype=DRAW
-        )
+        self.draws = np.array(draws, dtype=DRAW)
         self.draws.flags.writeable = False
         # id(predictor) -> (predictor, its rounded forecast per minute); the
         # entry holds the predictor, so no other object takes its id.
         self._demand: Dict[int, Tuple[object, np.ndarray]] = {}
 
-    def orders(self, minute: int, id_start: int) -> List[Order]:
-        """Fresh orders placed in this minute, with ids from id_start."""
+    def orders(self, minute: int, first_id: int) -> List[Order]:
+        """Fresh orders placed in this minute, with ids from first_id."""
         lo, hi = self.starts[minute], self.starts[minute + 1]
         return [
-            Order(id_start + i, minute, *draw)
+            Order(first_id + i, minute, *draw)
             for i, draw in enumerate(self.draws[lo:hi].tolist())
         ]
 

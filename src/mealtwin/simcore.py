@@ -161,7 +161,6 @@ class SimState:
         ]
         self.orders: Dict[int, Order] = {}
         self.pending: List[int] = []
-        self.next_order_id = 0
         self.sampled = 0
         self.delivered = 0
         self.overdue = 0
@@ -231,10 +230,11 @@ class SimState:
 
     def place_order(self, o: Order) -> None:
         """Enter a new order into the book as pending.  Orders enter only
-        here, so that the held pending counts see every one."""
+        here, so that the order count (`sampled`, also the next order's id)
+        and the held pending counts see every one."""
         self.orders[o.id] = o
         self.pending.append(o.id)
-        self.next_order_id = o.id + 1
+        self.sampled += 1
         self._pending_counts[o.restaurant] += 1
 
     def _drop_pending(self, o: Order) -> None:
@@ -478,9 +478,8 @@ class SimState:
         steer, advance."""
         if self.clock >= self.config.shift_minutes:
             raise ContractError("the shift is already over")
-        for o in self.book.orders(self.clock, self.next_order_id):
+        for o in self.book.orders(self.clock, self.sampled):
             self.place_order(o)
-            self.sampled += 1
             self.log(
                 f"order:{o.id}",
                 "placed",

@@ -4,7 +4,7 @@ None of this runs in a training or evaluation: toy MDPs with a tabular
 Q-learning oracle and a full DDQN loop over them, the replay ring as a list
 of per-transition records, the finite-difference gradient of the TD loss,
 epsilon-greedy selection over the valid subset of actions, a shift's orders
-drawn minute by minute as a simulation drew them before shift books, lag features
+drawn minute by minute with its own Poisson and od draws, lag features
 built straight from transaction records, the forecaster's per-node split
 search with a fresh sort per feature, the scalar walk of its trees, the hex
 distance formula, a fleet projection (its own walk over each queue, on that
@@ -43,7 +43,7 @@ from mealtwin.scenario import (
     ScenarioConfig,
     TransactionRecord,
     make_rng,
-    sample_orders,
+    sample_prep,
 )
 from mealtwin.simcore import (
     ANTICIPATION_MIN,
@@ -302,15 +302,32 @@ def ddqn_toy_train(
 
 
 def minute_draws(config: ScenarioConfig, seed_key: Sequence[int]) -> List[List[Order]]:
-    """Each minute's orders of the shift under this seed key, drawn with
-    `sample_orders` minute by minute on the order stream (*seed_key, 0), with
-    ids running on from 0."""
+    """Each minute's orders of the shift under this seed key, drawn minute by
+    minute on the order stream (*seed_key, 0), with ids running on from 0.
+    In a minute each restaurant grid, in id order, draws a Poisson count at
+    its rate / 60 (none where that is not positive) and each order's
+    household from its cumulative od row; then every order draws its prep
+    times in turn."""
     rng = make_rng(*seed_key, 0)
     minutes: List[List[Order]] = []
     next_id = 0
     for minute in range(config.shift_minutes):
-        minutes.append(sample_orders(config, minute, rng, next_id))
-        next_id += len(minutes[-1])
+        hour = config.shift_start_hour + minute // 60
+        arrivals = []
+        for gid, is_restaurant in enumerate(config.region.restaurant_flags):
+            lam = config.hourly_rates[gid][hour] / 60.0 if is_restaurant else 0.0
+            if not lam > 0:
+                continue
+            row = config.od_probs[gid]
+            dests = sorted(row)
+            cum = np.cumsum([row[d] for d in dests])
+            for _ in range(rng.poisson(lam)):
+                arrivals.append((gid, dests[np.searchsorted(cum, rng.random(), side="right")]))
+        orders = []
+        for gid, household in arrivals:
+            orders.append(Order(next_id, minute, gid, household, *sample_prep(config, rng)))
+            next_id += 1
+        minutes.append(orders)
     return minutes
 
 

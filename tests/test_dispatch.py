@@ -47,7 +47,7 @@ def quiet_config(fleet: int = 3) -> ScenarioConfig:
 
 def add_order(sim: SimState, restaurant: int, household: int, est: float, actual: float) -> Order:
     o = Order(
-        id=sim.next_order_id,
+        id=sim.sampled,
         placed_at=sim.clock,
         restaurant=restaurant,
         household=household,
@@ -55,7 +55,6 @@ def add_order(sim: SimState, restaurant: int, household: int, est: float, actual
         actual_prep=actual,
     )
     sim.place_order(o)
-    sim.sampled += 1
     return o
 
 

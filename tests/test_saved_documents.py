@@ -116,16 +116,20 @@ def test_a_damaged_document_loads_or_raises_config_error(tmp_path_factory, kind)
     damaged_document()
 
 
-@pytest.mark.parametrize("kind", ["scenario", "forecast model"])
+@pytest.mark.parametrize("kind", ["scenario", "weights", "forecast model"])
 def test_a_number_replaced_by_a_boolean_or_text_is_refused(tmp_path, kind):
     """Every number of these documents is read as one: a boolean or a
     numeric string in its place, which int() or float() would take, is
-    refused."""
+    refused.  A weights file's free-form `meta` is not read as numbers."""
     save, load = KINDS[kind]
     path = tmp_path / "doc.json"
     save(path)
     saved = json.loads(path.read_text())
-    numbers = [node for node in _paths(saved) if type(_leaf(saved, node)) in (int, float)]
+    numbers = [
+        node
+        for node in _paths(saved)
+        if type(_leaf(saved, node)) in (int, float) and node[0] != "meta"
+    ]
     assert len(numbers) > 10
     for node in numbers:
         for value in (True, False, "1", "0.5"):
@@ -138,3 +142,20 @@ def _leaf(node, path):
     for key in path:
         node = node[key]
     return node
+
+
+@pytest.mark.parametrize(
+    "node, value",
+    [
+        (("embed", 0), float("inf")),
+        (("layers", 0, "b", 0), float("nan")),
+        (("layers", 1, "w", 2, 1), float("-inf")),
+    ],
+)
+def test_a_weight_that_is_not_finite_is_refused(tmp_path, node, value):
+    path = tmp_path / "weights.json"
+    _save_weights(path)
+    saved = json.loads(path.read_text())
+    path.write_text(json.dumps(_replaced(saved, node, value)))  # NaN and Infinity
+    with pytest.raises(ConfigError, match="weights file .* not finite"):
+        load_qnet(path)

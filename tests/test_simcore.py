@@ -40,7 +40,7 @@ def noop(sim, oid, remaining) -> None:
 
 def add_order(sim: SimState, restaurant: int, household: int, est: float, actual: float) -> Order:
     o = Order(
-        id=sim.next_order_id,
+        id=sim.sampled,
         placed_at=sim.clock,
         restaurant=restaurant,
         household=household,
@@ -48,7 +48,6 @@ def add_order(sim: SimState, restaurant: int, household: int, est: float, actual
         actual_prep=actual,
     )
     sim.place_order(o)
-    sim.sampled += 1
     return o
 
 

@@ -54,7 +54,7 @@ def make_idle_sim(grids, minutes: int = 6) -> SimState:
 
 def add_pending(sim: SimState, restaurant: int) -> Order:
     o = Order(
-        id=sim.next_order_id,
+        id=sim.sampled,
         placed_at=sim.clock,
         restaurant=restaurant,
         household=0,
