@@ -372,18 +372,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     experiment = _load_experiment(args.config)
-    scenario_path = _pick(args.scenario, experiment, "scenario", None)
-    if scenario_path is None:
-        raise ConfigError("evaluate needs --scenario (or an experiment config with one)")
-    config = load_scenario(Path(scenario_path))
-    shifts = _pick(args.shifts, experiment, "shifts", 100)
-    eval_seed = _seed(_pick(args.eval_seed, experiment, "eval_seed", 1000), "evaluation seed")
     variants = _pick(args.variants, experiment, "variants", ",".join(VARIANTS))
     if isinstance(variants, str):
         variants = [v.strip() for v in variants.split(",") if v.strip()]
     for v in variants:
         if v not in VARIANT_SETUP:
             raise ConfigError(f"unknown variant {v!r}; pick from {', '.join(VARIANTS)}")
+    # A repeated variant would count each of its shifts twice in the study.
+    if not variants or len(set(variants)) != len(variants):
+        raise ConfigError(f"evaluate needs distinct variants, got {variants!r}")
+    scenario_path = _pick(args.scenario, experiment, "scenario", None)
+    if scenario_path is None:
+        raise ConfigError("evaluate needs --scenario (or an experiment config with one)")
+    config = load_scenario(Path(scenario_path))
+    shifts = _pick(args.shifts, experiment, "shifts", 100)
+    eval_seed = _seed(_pick(args.eval_seed, experiment, "eval_seed", 1000), "evaluation seed")
     weight_paths = {
         slot: _pick(getattr(args, slot), experiment.get("weights", {}), slot, None)
         for slot in WEIGHT_SLOTS

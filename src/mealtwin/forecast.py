@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -105,28 +106,30 @@ def _best_split(
     `order` (features x node rows) lists the node's row ids sorted by each
     feature, as a stable argsort of the node's rows would; `total` is the
     node's residual sum.  All features are scored in one pass.  Ties resolve
-    to the lowest feature index, then the lowest threshold: np.nonzero lists
-    the candidate boundaries feature-major and argmax keeps the first maximum.
+    to the lowest feature index, then the lowest threshold: np.flatnonzero
+    lists the candidate boundaries feature-major and argmax keeps the first
+    maximum.
     """
-    n = order.shape[1]
+    features, n = order.shape
     if n < 2 * params.min_leaf:
         return None
     lam = params.l2_reg
     parent_score = total * total / (n + lam)
-    xs = XT[np.arange(len(order))[:, None], order]
-    prefix = np.cumsum(residual[order], axis=1)
+    width = XT.shape[1]
+    xs = XT.take(order + np.arange(0, features * width, width)[:, None])
+    prefix = residual.take(order).cumsum(axis=1)
     # Candidate split after sorted position i: left = [0..i], right = rest,
     # kept only where the value changes from i to i + 1.
     lo, hi = params.min_leaf - 1, n - params.min_leaf
-    feat, i = np.nonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1])
+    feat, i = np.divmod(np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1]), hi - lo)
     if not len(i):
         return None
     i += lo
     n_left = (i + 1).astype(np.float64)
-    left_sum = prefix[feat, i]
+    left_sum = prefix.take(feat * n + i)
     right_sum = total - left_sum
     gains = left_sum**2 / (n_left + lam) + right_sum**2 / (n - n_left + lam) - parent_score
-    pos = int(np.argmax(gains))
+    pos = int(gains.argmax())
     if gains[pos] <= 1e-12:
         return None
     f, at = int(feat[pos]), int(i[pos])
@@ -159,12 +162,15 @@ def _grow(
     tree.feature[node] = feat
     tree.threshold[node] = thr
     # Filtering each sorted row keeps it sorted, ties still by row id.
-    left, right = (
-        (rows[side[rows]], order[side[order]].reshape(len(order), -1))
-        for side in (go_left, ~go_left)
+    row_left, order_left = go_left[rows], go_left[order]
+    tree.left[node] = _grow(
+        tree, XT, residual, rows[row_left], order[order_left].reshape(len(order), -1),
+        fitted, depth + 1, params,
     )
-    tree.left[node] = _grow(tree, XT, residual, *left, fitted, depth + 1, params)
-    tree.right[node] = _grow(tree, XT, residual, *right, fitted, depth + 1, params)
+    tree.right[node] = _grow(
+        tree, XT, residual, rows[~row_left], order[~order_left].reshape(len(order), -1),
+        fitted, depth + 1, params,
+    )
     return node
 
 
@@ -252,8 +258,8 @@ def train_gbt(
 ) -> GBTEnsemble:
     """Fit a boosting ensemble; each round fits a tree to current residuals.
 
-    Each feature is sorted once per fit; a node's sort is its parent's,
-    filtered to the rows the node keeps.
+    Each feature that varies is sorted once per fit; a node's sort is its
+    parent's, filtered to the rows the node keeps.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -267,7 +273,12 @@ def train_gbt(
         raise ConfigError("training data holds non-finite values")
     model = GBTEnsemble(base_score=float(y.mean()), shrinkage=params.shrinkage, params=params)
     current = np.full(len(y), model.base_score, dtype=np.float64)
-    XT = np.ascontiguousarray(X.T)
+    # A feature constant over the training rows never splits, so only the
+    # varying ones are sorted and searched; ids[f] maps a searched feature
+    # back to its column, and ids[-1] keeps a leaf's -1.
+    varying = np.flatnonzero((X != X[:1]).any(axis=0))
+    ids = varying.tolist() + [-1]
+    XT = np.ascontiguousarray(X[:, varying].T)
     order = np.argsort(XT, axis=1, kind="stable")
     rows = np.arange(len(y))
     fitted = np.empty(len(y), dtype=np.float64)
@@ -275,6 +286,7 @@ def train_gbt(
         residual = y - current
         tree = RegressionTree()
         _grow(tree, XT, residual, rows, order, fitted, 0, params)
+        tree.feature = [ids[f] for f in tree.feature]
         model.trees.append(tree)
         current += params.shrinkage * fitted
         model.train_losses.append(float(np.mean((y - current) ** 2)))
@@ -413,10 +425,35 @@ def train_demand_models(
     config: ScenarioConfig,
     params: GBTParams = GBTParams(),
 ) -> Dict[int, GBTEnsemble]:
-    return {
-        gid: train_gbt(X, y, params)
-        for gid, (X, y) in sorted(build_training_sets(history, config).items())
-    }
+    """One ensemble per restaurant grid, keyed in grid order.
+
+    The grids fit on a fork pool of min(grids, usable CPUs) processes, or one
+    after another when only one CPU is usable or the platform cannot fork.
+    Each fit is a pure function of its grid's data, so every process count
+    gives the same models bit for bit.  Forked workers start with the
+    parent's modules loaded; spawned ones would first pay the imports.
+    """
+    datasets = build_training_sets(history, config)
+    grids = sorted(datasets)
+    fit_args = (
+        [datasets[g][0] for g in grids],
+        [datasets[g][1] for g in grids],
+        [params] * len(grids),
+    )
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(grids), cpus)
+    fits = map(train_gbt, *fit_args)
+    if workers >= 2:
+        # Imported here: the pool's modules cost RSS that runs without a
+        # fit should not carry.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                fits = list(pool.map(train_gbt, *fit_args))
+    return dict(zip(grids, fits))
 
 
 def _tree_to_dict(tree: RegressionTree) -> dict:

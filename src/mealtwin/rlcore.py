@@ -36,6 +36,9 @@ BATCH_SIZE = 300
 TARGET_SYNC_DECISIONS = 100
 LEARN_PERIOD_STEPS = 5
 GRAD_CLIP = 0.5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 EPSILON_START = 0.95
 EPSILON_DECAY = 0.99
 EPSILON_FLOOR = 0.005
@@ -197,29 +200,19 @@ class QNet:
 class Adam:
     """Adam with bias correction, operating in place on a flat parameter vector."""
 
-    def __init__(
-        self,
-        n_params: int,
-        lr: float = LEARNING_RATE,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, n_params: int, lr: float = LEARNING_RATE):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(n_params, dtype=np.float64)
         self.v = np.zeros(n_params, dtype=np.float64)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1.0 - ADAM_BETA2**self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -315,11 +308,10 @@ def sync_target(value: QNet, target: QNet) -> None:
     target.params[:] = value.params
 
 
-def maybe_sync_target(
-    value: QNet, target: QNet, decisions: int, every: int = TARGET_SYNC_DECISIONS
-) -> bool:
-    """Hard-sync after every `every`-th decision of the owning policy."""
-    if decisions > 0 and decisions % every == 0:
+def maybe_sync_target(value: QNet, target: QNet, decisions: int) -> bool:
+    """Hard-sync after every TARGET_SYNC_DECISIONS-th decision of the owning
+    policy."""
+    if decisions > 0 and decisions % TARGET_SYNC_DECISIONS == 0:
         sync_target(value, target)
         return True
     return False
@@ -350,14 +342,14 @@ def learn(
     batch: Batch,
     adam: Adam,
     gamma: float = GAMMA,
-    grad_clip: float = GRAD_CLIP,
 ) -> float:
-    """One TD update: targets from the frozen net, elementwise-clipped Adam step."""
+    """One TD update: targets from the frozen net, an Adam step on the
+    gradient clipped elementwise to GRAD_CLIP."""
     y = td_targets(target, batch, gamma)
     loss, grad = loss_and_grad(value, batch.s, batch.a, y)
     if not np.isfinite(loss) or not np.isfinite(grad).all():
         raise NumericalError(f"non-finite TD loss or gradient (loss={loss})")
-    np.clip(grad, -grad_clip, grad_clip, out=grad)
+    np.clip(grad, -GRAD_CLIP, GRAD_CLIP, out=grad)
     adam.step(value.params, grad)
     return loss
 

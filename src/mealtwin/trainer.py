@@ -34,7 +34,6 @@ from .rlcore import (
     LEARN_PERIOD_STEPS,
     LEARNING_RATE,
     REPLAY_CAPACITY,
-    TARGET_SYNC_DECISIONS,
     Adam,
     QNet,
     ReplayBuffer,
@@ -158,7 +157,7 @@ class _Learner:
         episode's raw-reward return."""
         self.buffer.push(s, a, r, s2, done, mask2)
         self.decisions += 1
-        maybe_sync_target(self.net, self.target, self.decisions, TARGET_SYNC_DECISIONS)
+        maybe_sync_target(self.net, self.target, self.decisions)
         self.episode_return += raw_reward
 
     def after_env_step(self) -> None:

@@ -610,6 +610,27 @@ def test_evaluate_validation(workspace, capsys):
     )
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("variants", ["nearest_idle,nearest_idle", ","], ids=["repeated", "empty"])
+def test_evaluate_refuses_empty_or_repeated_variants(tmp_path, capsys, source, variants):
+    """A repeated variant would count each of its shifts twice in the study,
+    and an empty list compares nothing.  Both exit 2 before any file is
+    loaded: the scenario path does not even exist."""
+    outdir = tmp_path / "out"
+    argv = ["evaluate", "--scenario", str(tmp_path / "missing.json"), "--shifts", "2"]
+    argv += ["--outdir", str(outdir)]
+    if source == "flag":
+        argv += ["--variants", variants]
+    else:
+        config_path = tmp_path / "experiment.json"
+        listed = [v for v in variants.split(",") if v]
+        config_path.write_text(json.dumps({"schema": EXPERIMENT_SCHEMA, "variants": listed}))
+        argv += ["--config", str(config_path)]
+    assert main(argv) == 2
+    assert "evaluate needs distinct variants" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_report_recomputes_identical_tables(evaluated, tmp_path, capsys):
     metrics_csv = tmp_path / "metrics.csv"
     pvalues_csv = tmp_path / "pvalues.csv"

@@ -252,6 +252,37 @@ def test_models_round_trip(tmp_path):
         load_demand_models(tmp_path / "missing.json")
 
 
+def test_fit_gives_the_same_model_file_on_one_cpu_and_on_two(tmp_path, monkeypatch):
+    """The per-grid fits run serially on one usable CPU and on a fork pool on
+    two; both save the same bytes, the pool is gone afterwards, and a region
+    without restaurant grids gets no models either way."""
+    import concurrent.futures
+    import multiprocessing
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    config = default_scenario()
+    history = synth_history(config, 6, make_rng(33))
+    saved = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        models = train_demand_models(history, config)
+        assert multiprocessing.active_children() == []
+        path = tmp_path / f"gbt_{cpus}.json"
+        save_demand_models(path, models)
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+    assert pools == ([2] if "fork" in multiprocessing.get_all_start_methods() else [])
+    monkeypatch.setattr(forecast, "build_training_sets", lambda history, config: {})
+    assert train_demand_models(history, config) == {}
+
+
 def test_gbt_beats_persistence_on_synthetic_holdout():
     config = default_scenario()
     train_hist = synth_history(config, 16, make_rng(41))

@@ -203,7 +203,7 @@ def test_learn_matches_reference_pipeline():
             done=rng.random(6) < 0.5,
             mask2=np.ones((6, 2), dtype=bool),
         )
-        learn(net, target, batch, adam, gamma=0.8, grad_clip=0.5)
+        learn(net, target, batch, adam, gamma=0.8)
         # Reference: targets from the frozen net, clip THEN Adam.
         q2, _ = target.forward_batch(batch.s2)
         y = batch.r + 0.8 * q2.max(axis=1) * (~batch.done)
