@@ -42,7 +42,7 @@ from .forecast import (
 )
 from .hexgrid import DEFAULT_RESTAURANT_IDS, offset_rect_region
 from .hexmap import render_snapshot
-from .rlcore import ACT_LINEAR, ACT_RELU, QNet, load_qnet, save_qnet
+from .rlcore import QNet, load_qnet, save_qnet
 from .scenario import (
     DEFAULT_FLEET_SIZE,
     HALF_RATE_GRIDS,
@@ -95,12 +95,11 @@ def _str_or_list_of(check):
 # What experiment keys must hold: (description, check, keys).  Episodes and
 # variants may also be one comma-separated string, like their flags.
 _EXPERIMENT_TYPES = (
-    ("an integer", _is_int, ("shifts", "eval_seed", "train_seed", "workers")),
+    ("an integer", _is_int, ("shifts", "eval_seed", "train_seed")),
     (
         "a string",
         _is_str,
-        ("scenario", "gbt_model", "history", "output_dir", "mode", "forecaster",
-         "output_activation"),
+        ("scenario", "gbt_model", "history", "output_dir", "mode", "forecaster"),
     ),
     ("a string or a list of integers", _str_or_list_of(_is_int), ("episodes",)),
     ("a string or a list of strings", _str_or_list_of(_is_str), ("variants",)),
@@ -113,10 +112,21 @@ _EXPERIMENT_TYPES = (
 
 
 def _experiment_from_dict(doc: dict) -> dict:
+    # A misspelt or retired key or slot would otherwise change nothing without a word.
+    known = {"schema", *(key for _, _, keys in _EXPERIMENT_TYPES for key in keys)}
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"unknown experiment key {key!r}")
     for kind, check, keys in _EXPERIMENT_TYPES:
         for key in keys:
             if key in doc and not check(doc[key]):
                 raise ConfigError(f"experiment key {key!r} must hold {kind}, got {doc[key]!r}")
+    for slot in doc.get("weights", {}):
+        if slot not in WEIGHT_SLOTS:
+            raise ConfigError(
+                f"experiment key 'weights' has unknown slot {slot!r}; "
+                f"pick from {', '.join(WEIGHT_SLOTS)}"
+            )
     return doc
 
 
@@ -255,7 +265,6 @@ def cmd_train(args) -> int:
         raise ConfigError("--episodes needs exactly three comma-separated counts")
     mode = _pick(args.mode, experiment, "mode", MODE_STRATEGIC)
     seed = _seed(_pick(args.seed, experiment, "train_seed", 0), "training seed")
-    activation = _pick(args.output_activation, experiment, "output_activation", ACT_LINEAR)
     forecaster = _pick(
         args.forecaster,
         experiment,
@@ -268,9 +277,7 @@ def cmd_train(args) -> int:
         _pick(args.gbt_model, experiment, "gbt_model", None),
         _pick(args.history, experiment, "history", None),
     )
-    plan = TrainingPlan(
-        episodes=tuple(episodes), seed=seed, mode=mode, output_activation=activation
-    )
+    plan = TrainingPlan(episodes=tuple(episodes), seed=seed, mode=mode)
     outdir = Path(_pick(args.outdir, experiment, "output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     dispatch_net, steering_net, report = sandwich_train(plan, config, predictor)
@@ -279,7 +286,6 @@ def cmd_train(args) -> int:
         "seed": seed,
         "fleet_size": config.fleet_size,
         "episodes": list(episodes),
-        "output_activation": activation,
     }
     save_qnet(
         outdir / "dispatch.json",
@@ -394,9 +400,8 @@ def cmd_evaluate(args) -> int:
     forecaster = _pick(args.forecaster, experiment, "forecaster", "oracle")
     gbt_model = _pick(args.gbt_model, experiment, "gbt_model", None)
     history = _pick(args.history, experiment, "history", None)
-    workers = _pick(args.workers, experiment, "workers", 1)
-    if shifts < 1 or workers < 1:
-        raise ConfigError(f"evaluate needs shifts and workers >= 1, got {shifts} and {workers}")
+    if shifts < 1:
+        raise ConfigError(f"evaluate needs shifts >= 1, got {shifts}")
     outdir = Path(_pick(args.outdir, experiment, "output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -407,7 +412,7 @@ def cmd_evaluate(args) -> int:
         _build_predictor(forecaster, config, gbt_model, history) if needs_predictor else None
     )
 
-    runs, latencies = run_study(config, variants, nets, predictor, eval_seed, shifts, workers)
+    runs, latencies = run_study(config, variants, nets, predictor, eval_seed, shifts)
     report = compare_frameworks(runs, variants=variants)
     save_comparison(outdir / "comparison.json", report)
     write_metrics_csv(outdir / "metrics.csv", report)
@@ -582,12 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(MODE_STRATEGIC, MODE_MYOPIC), default=None)
     p.add_argument("--episodes", default=None, help="three counts, e.g. 200,150,100")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--output-activation",
-        dest="output_activation",
-        choices=(ACT_LINEAR, ACT_RELU),
-        default=None,
-    )
     p.add_argument("--outdir", default=None)
     _add_forecaster_flags(p, default=None)
     p.set_defaults(func=cmd_train)
@@ -610,14 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-seed", dest="eval_seed", type=int, default=None)
     p.add_argument("--variants", default=None)
     p.add_argument("--outdir", default=None)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="processes to run the shifts on (default 1, serial); each spawned "
-        "worker pays about 0.6 s of CPU for its imports, so a pool is slower "
-        "than a serial run on small studies",
-    )
     _add_weight_flags(p)
     _add_forecaster_flags(p, default=None)
     p.set_defaults(func=cmd_evaluate)

@@ -61,13 +61,6 @@ def encode_dispatch_state(sim: SimState, oid: int) -> Tuple[np.ndarray, np.ndarr
     return s, rows.mask.copy()
 
 
-def task_count_mask(sim: SimState) -> np.ndarray:
-    """Valid dispatch actions: couriers below the delivery-task cap, plus
-    postponing (the last action), which is always valid.  A copy of the
-    mask held with the courier rows."""
-    return sim.courier_rows().mask.copy()
-
-
 def reward_assign(
     sim: SimState,
     oid: int,
@@ -157,11 +150,11 @@ def dispatch_next_state(
     if action == fleet and not removed:
         s2 = tick_courier_timers(s, fleet)
         s2[0] = s[0] - 1.0
-        return s2, task_count_mask(sim), done
+        return s2, sim.courier_rows().mask.copy(), done
     if remaining:
         s2, mask2 = encode_dispatch_state(sim, remaining[0])
         return s2, mask2, done
-    return tick_courier_timers(s, fleet), task_count_mask(sim), done
+    return tick_courier_timers(s, fleet), sim.courier_rows().mask.copy(), done
 
 
 class NearestIdlePolicy:

@@ -15,7 +15,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,7 +23,7 @@ import numpy as np
 from .dispatch import ConvDdqnPolicy, DispatchRewardParams, NearestIdlePolicy
 from .errors import ConfigError, ContractError, load_document
 from .rlcore import QNet
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, fork_map
 from .simcore import MODE_MYOPIC, MODE_STRATEGIC, Event, SimState
 from .steering import SteerDdqnPolicy
 
@@ -214,22 +213,6 @@ def variant_policies(
     return mode, dispatch_policy, steer_policy
 
 
-def _study_shift(
-    config: ScenarioConfig, nets: Dict[str, QNet], predictor, eval_seed: int, task: Tuple[str, int]
-) -> Tuple[RunMetrics, List[float]]:
-    """One (variant, shift) task of `run_study`; module-level so a process
-    pool can run it."""
-    variant, shift = task
-    mode, dispatch_policy, steer_policy = variant_policies(variant, nets)
-    if mode != MODE_STRATEGIC:
-        predictor = None
-    # Shift i runs under seed key (eval_seed, i) and is run i of its variant.
-    result = run_shift(
-        config, mode, dispatch_policy, steer_policy, predictor, (eval_seed, shift), variant, shift
-    )
-    return result.metrics, result.latencies
-
-
 def run_study(
     config: ScenarioConfig,
     variants: Sequence[str],
@@ -237,36 +220,39 @@ def run_study(
     predictor,
     eval_seed: int,
     shifts: int,
-    workers: int = 1,
 ) -> Tuple[Dict[str, List[RunMetrics]], Dict[str, List[float]]]:
     """Each variant's runs on matched shifts 0..shifts-1 and its decision
-    latencies (seconds); strategic-mode variants get the predictor.  Policies
-    without a learner are stateless, so the results are the same in any order
-    and in any process: `workers` > 1 runs the shifts on a spawned pool.
+    latencies (seconds); strategic-mode variants get the predictor.
 
-    The tasks run shift by shift, every variant of a shift in turn, so each
-    shift's book is drawn, and forecast, once (see `ScenarioConfig.shift_book`)."""
-    study_shift = partial(_study_shift, config, nets, predictor, eval_seed)
-    tasks = [(v, i) for i in range(shifts) for v in variants]
-    if workers > 1:
-        # Imported here: serial runs, the common case, never pay for the pool.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    The shifts run through `fork_map`, every variant of a shift in turn, so
+    each shift's book is drawn, and forecast, once per process (see
+    `ScenarioConfig.shift_book`).  Policies without a learner are stateless,
+    so the runs are the same in any process and order."""
 
-        # One chunk of whole shifts per worker, so each worker unpickles the
-        # study once and draws the books of its own shifts.
-        chunksize = max(1, math.ceil(shifts / workers)) * len(variants)
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-            results = list(pool.map(study_shift, tasks, chunksize=chunksize))
-    else:
-        results = map(study_shift, tasks)
+    def study_shift(shift: int) -> List[Tuple[RunMetrics, List[float]]]:
+        results = []
+        for variant in variants:
+            mode, dispatch_policy, steer_policy = variant_policies(variant, nets)
+            # Shift i runs under seed key (eval_seed, i) and is run i of its variant.
+            result = run_shift(
+                config,
+                mode,
+                dispatch_policy,
+                steer_policy,
+                predictor if mode == MODE_STRATEGIC else None,
+                (eval_seed, shift),
+                variant,
+                shift,
+            )
+            results.append((result.metrics, result.latencies))
+        return results
+
     runs: Dict[str, List[RunMetrics]] = {v: [] for v in variants}
     latencies: Dict[str, List[float]] = {v: [] for v in variants}
-    # Shift-major tasks append each variant's runs in shift order.
-    for (v, _), (metrics, lat) in zip(tasks, results):
-        runs[v].append(metrics)
-        latencies[v].extend(lat)
+    for shift_results in fork_map(study_shift, shifts):
+        for v, (metrics, lat) in zip(variants, shift_results):
+            runs[v].append(metrics)
+            latencies[v].extend(lat)
     return runs, latencies
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, load_document, number, whole
-from .scenario import DEFAULT_SHIFT_WEEKDAY, ScenarioConfig, TransactionRecord
+from .scenario import DEFAULT_SHIFT_WEEKDAY, ScenarioConfig, TransactionRecord, fork_map
 
 GBT_SCHEMA = "mealtwin-gbt/1"
 NUM_LAGS = 4
@@ -427,32 +426,13 @@ def train_demand_models(
 ) -> Dict[int, GBTEnsemble]:
     """One ensemble per restaurant grid, keyed in grid order.
 
-    The grids fit on a fork pool of min(grids, usable CPUs) processes, or one
-    after another when only one CPU is usable or the platform cannot fork.
-    Each fit is a pure function of its grid's data, so every process count
-    gives the same models bit for bit.  Forked workers start with the
-    parent's modules loaded; spawned ones would first pay the imports.
+    The grids fit through `fork_map`, one task per grid: each fit is a pure
+    function of its grid's data, so every process count gives the same
+    models bit for bit.
     """
     datasets = build_training_sets(history, config)
     grids = sorted(datasets)
-    fit_args = (
-        [datasets[g][0] for g in grids],
-        [datasets[g][1] for g in grids],
-        [params] * len(grids),
-    )
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(grids), cpus)
-    fits = map(train_gbt, *fit_args)
-    if workers >= 2:
-        # Imported here: the pool's modules cost RSS that runs without a
-        # fit should not carry.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                fits = list(pool.map(train_gbt, *fit_args))
+    fits = fork_map(lambda i: train_gbt(*datasets[grids[i]], params), len(grids))
     return dict(zip(grids, fits))
 
 

@@ -357,7 +357,6 @@ def learn(
 def dispatch_qnet(
     fleet_size: int,
     hidden: int = 32,
-    output_activation: str = ACT_LINEAR,
     rng: Optional[np.random.Generator] = None,
 ) -> QNet:
     """Order-dispatching net: shared courier embedding, one hidden relu layer,
@@ -365,21 +364,19 @@ def dispatch_qnet(
     spec = NetSpec(
         input_dim=1 + 3 * fleet_size,
         layer_dims=(hidden, fleet_size + 1),
-        activations=(ACT_RELU, output_activation),
+        activations=(ACT_RELU, ACT_LINEAR),
         head_dim=1,
         embed_groups=fleet_size,
     )
     return QNet(spec, rng)
 
 
-def steering_qnet(
-    output_activation: str = ACT_LINEAR, rng: Optional[np.random.Generator] = None
-) -> QNet:
+def steering_qnet(rng: Optional[np.random.Generator] = None) -> QNet:
     """Idle-steering net: 14 -> 32 -> 16 -> 7 (stay plus six neighbor slots)."""
     spec = NetSpec(
         input_dim=14,
         layer_dims=(32, 16, 7),
-        activations=(ACT_RELU, ACT_RELU, output_activation),
+        activations=(ACT_RELU, ACT_RELU, ACT_LINEAR),
     )
     return QNet(spec, rng)
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -113,7 +114,7 @@ class ScenarioConfig:
     _od_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # seed key -> the shift's book; see shift_book.  Never pickled.
+    # seed key -> the shift's book; see shift_book.
     _books: Dict[Tuple[int, ...], "ShiftBook"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -198,10 +199,6 @@ class ScenarioConfig:
                 self._books.clear()
             book = self._books[key] = ShiftBook(self, key)
         return book
-
-    def __getstate__(self) -> dict:
-        # A pool worker gets the config without its books and draws its own.
-        return {**self.__dict__, "_books": {}}
 
 
 def sample_prep(config: ScenarioConfig, rng: np.random.Generator) -> Tuple[float, float]:
@@ -457,3 +454,39 @@ def load_scenario(path: Path) -> ScenarioConfig:
 def make_rng(*keys: int) -> np.random.Generator:
     """Independent deterministic stream keyed by a tuple of integers."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(keys))))
+
+
+T = TypeVar("T")
+_fork_fn: Optional[Callable[[int], object]] = None
+
+
+def _set_fork_fn(fn: Callable[[int], object]) -> None:
+    global _fork_fn
+    _fork_fn = fn
+
+
+def _call_fork_fn(i: int):
+    return _fork_fn(i)
+
+
+def fork_map(fn: Callable[[int], T], n: int) -> List[T]:
+    """[fn(0), ..., fn(n-1)], on a fork process pool of min(n, usable CPUs)
+    workers, or in this process when one CPU is usable or the platform cannot
+    fork.  A forked worker inherits `fn`, and the modules and data it reads,
+    so only indices and results are pickled; `fn` must not depend on the
+    process it runs in for its result to be the same for any worker count."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(n, cpus)
+    if workers >= 2:
+        # Imported here: the pool's modules cost RSS that runs without a pool
+        # (every training run) should not carry.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(
+                workers, mp_context=context, initializer=_set_fork_fn, initargs=(fn,)
+            ) as pool:
+                return list(pool.map(_call_fork_fn, range(n)))
+    return [fn(i) for i in range(n)]

@@ -27,7 +27,6 @@ from . import dispatch as dsp
 from . import steering as steer
 from .errors import ConfigError, ContractError, NumericalError
 from .rlcore import (
-    ACT_LINEAR,
     BATCH_SIZE,
     EPSILON_START,
     GAMMA,
@@ -64,7 +63,6 @@ class TrainingPlan:
     episodes: Tuple[int, int, int] = (200, 150, 100)
     seed: int = 0
     mode: str = MODE_STRATEGIC
-    output_activation: str = ACT_LINEAR
 
     def __post_init__(self) -> None:
         if any(r < 1 for r in self.episodes):
@@ -240,14 +238,8 @@ def sandwich_train(
     predictor=None,
 ) -> Tuple[QNet, QNet, TrainingReport]:
     """Run the three training phases and return both trained networks."""
-    dispatch_net = dispatch_qnet(
-        config.fleet_size,
-        output_activation=plan.output_activation,
-        rng=make_rng(plan.seed, 7),
-    )
-    steering_net = steering_qnet(
-        output_activation=plan.output_activation, rng=make_rng(plan.seed, 8)
-    )
+    dispatch_net = dispatch_qnet(config.fleet_size, rng=make_rng(plan.seed, 7))
+    steering_net = steering_qnet(rng=make_rng(plan.seed, 8))
     report = TrainingReport(mode=plan.mode, seed=plan.seed, planned_episodes=plan.episodes)
     schedule = (
         (PHASE_DISPATCH, EPSILON_START),

@@ -5,6 +5,8 @@ simulate/evaluate commands have real files to load.
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -207,16 +209,22 @@ def test_experiment_config_supplies_defaults(workspace, tmp_path, capsys):
     "command, key, value",
     [
         ("evaluate", "shifts", "3"),
-        ("evaluate", "workers", "2"),
+        ("evaluate", "workers", "2"),  # a retired key
         ("evaluate", "variants", 5),
         ("evaluate", "eval_seed", "x"),
         ("evaluate", "weights", {"myopic_dispatch": 1}),
         ("train", "train_seed", "a"),
         ("train", "episodes", [1, "1", 1]),
         ("train", "scenario", 7),
+        ("evaluate", "eval-seed", 3),  # a typo
+        ("evaluate", "weights", {"myopic_steer": "steering.json"}),  # an unknown slot
+        ("train", "output_activation", "relu"),  # a retired key
     ],
 )
 def test_experiment_config_rejects_wrong_types(workspace, tmp_path, capsys, command, key, value):
+    """A value of the wrong type, a key the format does not have (a typo or a
+    retired key) and an unknown weight slot exit 2, naming the key, before
+    anything is written."""
     config_path = tmp_path / "experiment.json"
     doc = {"schema": EXPERIMENT_SCHEMA, "scenario": str(workspace / "scenario.json")}
     config_path.write_text(json.dumps({**doc, key: value}))
@@ -226,7 +234,7 @@ def test_experiment_config_rejects_wrong_types(workspace, tmp_path, capsys, comm
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("key, value", [("shifts", 0), ("shifts", -3), ("workers", 0), ("workers", -2)])
+@pytest.mark.parametrize("key, value", [("shifts", 0), ("shifts", -3)])
 def test_evaluate_refuses_counts_below_one(workspace, tmp_path, capsys, source, key, value):
     scenario = str(workspace / "scenario.json")
     outdir = tmp_path / "out"
@@ -239,7 +247,7 @@ def test_evaluate_refuses_counts_below_one(workspace, tmp_path, capsys, source, 
         config_path.write_text(json.dumps(doc))
         argv += ["--config", str(config_path)]
     assert main(argv) == 2
-    assert "shifts and workers >= 1" in capsys.readouterr().err
+    assert "shifts >= 1" in capsys.readouterr().err
     assert not outdir.exists()  # refused before any shift ran
 
 
@@ -531,35 +539,38 @@ def test_evaluate_artifacts(evaluated, capsys):
     assert pvals[0] == "variant_a,variant_b,p_value"
 
 
-def test_evaluate_worker_pool_matches_serial(workspace, evaluated, tmp_path):
-    outdir = tmp_path / "pooled"
-    code = main(
-        [
-            "evaluate",
-            "--scenario",
-            str(workspace / "scenario.json"),
-            "--shifts",
-            "2",
-            "--eval-seed",
-            "500",
-            "--variants",
-            "nearest_idle,myopic",
-            "--workers",
-            "2",
-            "--outdir",
-            str(outdir),
-            *weight_flags(workspace),
-        ]
-    )
-    assert code == 0
-    assert (outdir / "comparison.json").read_bytes() == (
-        evaluated / "comparison.json"
-    ).read_bytes()
+def test_evaluate_worker_pool_matches_serial(workspace, evaluated, tmp_path, monkeypatch):
+    """One usable CPU runs the study serially, two run it on a fork pool;
+    both write the bytes of the fixture's run and leave no process behind."""
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        outdir = tmp_path / f"cpus{cpus}"
+        code = main(
+            [
+                "evaluate",
+                "--scenario",
+                str(workspace / "scenario.json"),
+                "--shifts",
+                "2",
+                "--eval-seed",
+                "500",
+                "--variants",
+                "nearest_idle,myopic",
+                "--outdir",
+                str(outdir),
+                *weight_flags(workspace),
+            ]
+        )
+        assert code == 0
+        assert multiprocessing.active_children() == []
+        assert (outdir / "comparison.json").read_bytes() == (
+            evaluated / "comparison.json"
+        ).read_bytes()
 
 
 def test_evaluate_workers_share_one_forecaster_fit(workspace, tmp_path, monkeypatch):
     """A pool gives the serial bytes for a strategic variant with a GBT
-    forecaster, and the study fits that forecaster once, not once per task."""
+    forecaster, and the study fits that forecaster once, not once per shift."""
     scenario = str(workspace / "scenario.json")
     history = tmp_path / "history.csv"
     assert main(["synth-history", "--scenario", scenario, "--weeks", "1", "--out", str(history)]) == 0
@@ -573,9 +584,10 @@ def test_evaluate_workers_share_one_forecaster_fit(workspace, tmp_path, monkeypa
 
     monkeypatch.setattr(cli, "train_demand_models", counted_fit)
     comparisons = []
-    for workers in ("1", "2"):
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
         fits.write_text("")
-        outdir = tmp_path / f"workers{workers}"
+        outdir = tmp_path / f"cpus{cpus}"
         code = main(
             [
                 "evaluate",
@@ -589,8 +601,6 @@ def test_evaluate_workers_share_one_forecaster_fit(workspace, tmp_path, monkeypa
                 "gbt",
                 "--history",
                 str(history),
-                "--workers",
-                workers,
                 "--outdir",
                 str(outdir),
                 *weight_flags(workspace),
@@ -598,6 +608,7 @@ def test_evaluate_workers_share_one_forecaster_fit(workspace, tmp_path, monkeypa
         )
         assert code == 0
         assert fits.read_text().splitlines() == ["fit"]
+        assert multiprocessing.active_children() == []
         comparisons.append((outdir / "comparison.json").read_bytes())
     assert comparisons[0] == comparisons[1]
 

@@ -25,7 +25,6 @@ from mealtwin.dispatch import (
     encode_dispatch_state,
     reward_assign,
     reward_postpone,
-    task_count_mask,
     tick_courier_timers,
 )
 from mealtwin.errors import ContractError
@@ -97,7 +96,7 @@ def test_encode_layout_and_mask():
     g2, dt2 = sim.courier_eta_idle(2)
     assert (s[7], s[8], s[9]) == (dt2, sim.region.distance(g2, 7), field[g2])
     assert mask.tolist() == [True, True, False, True]
-    assert np.array_equal(task_count_mask(sim), mask)
+    assert np.array_equal(sim.courier_rows().mask, mask)
     with pytest.raises(ContractError):
         encode_dispatch_state(sim, busy.id)  # not pending any more
 

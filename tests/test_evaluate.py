@@ -6,6 +6,10 @@ implementation; the package itself never imports it.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,6 +390,28 @@ def test_run_study_matches_shift_by_shift_runs():
             assert json.dumps(run.to_dict()) == json.dumps(result.metrics.to_dict())
             expected_latencies += result.latencies
         assert len(latencies[variant]) == len(expected_latencies)
+
+
+def test_run_study_of_no_variants_is_empty():
+    assert run_study(default_scenario(), [], {}, None, eval_seed=0, shifts=2) == ({}, {})
+
+
+def test_run_study_runs_from_a_script_without_a_main_guard(tmp_path):
+    """A forked pool does not re-import the calling script, so a script that
+    calls run_study at top level runs once and exits cleanly."""
+    script = tmp_path / "study.py"
+    script.write_text(
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from mealtwin.evaluate import run_study\n"
+        "from mealtwin.scenario import default_scenario\n"
+        "runs, _ = run_study(default_scenario(), ['nearest_idle'], {}, None, 3, 2)\n"
+        "assert [r.run_id for r in runs['nearest_idle']] == [0, 1]\n"
+    )
+    paths = (str(Path(mealtwin.evaluate.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_latency_p99_nearest_rank():

@@ -20,7 +20,6 @@ from mealtwin.dispatch import (
     NearestIdlePolicy,
     apply_dispatch_decision,
     encode_dispatch_state,
-    task_count_mask,
 )
 from mealtwin.forecast import OracleDemand
 from mealtwin.hexgrid import offset_rect_region
@@ -66,8 +65,6 @@ def check_against_fresh(sim: SimState, oid=None, cid=None) -> None:
     assert same_bits(sim.pending_counts(), fresh_pending_counts(sim))
     field = fresh_gap_field(sim)
     assert same_bits(sim.gap_field(), field)
-    expected_mask = np.append(tasks < sim.config.max_delivery_tasks, True)
-    assert same_bits(task_count_mask(sim), expected_mask)
     if oid is None and sim.pending:
         oid = sim.pending[0]
     if oid is not None:
@@ -104,7 +101,7 @@ def run_checked_shift(config: ScenarioConfig, mode: str, steer: bool, seed: int)
         if rng.random() < 0.5:
             nearest(s, oid, remaining)
             return
-        valid = np.flatnonzero(task_count_mask(s))
+        valid = np.flatnonzero(s.courier_rows().mask)
         apply_dispatch_decision(s, oid, int(rng.choice(valid)))
 
     def steer_fn(s: SimState, cid: int) -> None:
@@ -203,7 +200,7 @@ def test_refresh_projects_only_changed_and_waiting_couriers(monkeypatch):
         if rng.random() < 0.5:
             nearest(s, oid, remaining)
         else:
-            valid = np.flatnonzero(task_count_mask(s))
+            valid = np.flatnonzero(s.courier_rows().mask)
             apply_dispatch_decision(s, oid, int(rng.choice(valid)))
         seen[0] = courier_signature(s)
 

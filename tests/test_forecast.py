@@ -2,6 +2,8 @@
 
 import json
 import math
+import multiprocessing
+import os
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -257,7 +259,6 @@ def test_fit_gives_the_same_model_file_on_one_cpu_and_on_two(tmp_path, monkeypat
     two; both save the same bytes, the pool is gone afterwards, and a region
     without restaurant grids gets no models either way."""
     import concurrent.futures
-    import multiprocessing
 
     pools = []
 
@@ -271,7 +272,7 @@ def test_fit_gives_the_same_model_file_on_one_cpu_and_on_two(tmp_path, monkeypat
     history = synth_history(config, 6, make_rng(33))
     saved = []
     for cpus in (1, 2):
-        monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
         models = train_demand_models(history, config)
         assert multiprocessing.active_children() == []
         path = tmp_path / f"gbt_{cpus}.json"
@@ -637,8 +638,8 @@ def test_model_file_numbers_checked_at_load(tmp_path, key, value):
         load_demand_models(path)
 
 
-def test_gbt_study_gives_the_same_runs_on_a_pool():
-    """Each spawned worker holds its own copy of the memo; the runs equal a
+def test_gbt_study_gives_the_same_runs_on_a_pool(monkeypatch):
+    """Each forked worker holds its own copy of the memo; the runs equal a
     serial study's, in which later variants read rows the first stored."""
     config = default_scenario(seed=3)
     history = synth_history(config, 2, make_rng(12))
@@ -648,9 +649,10 @@ def test_gbt_study_gives_the_same_runs_on_a_pool():
         "strategic_steering": steering_qnet(rng=make_rng(14)),
     }
     variants = ("strategic", "strategic+steer")
-    studies = [
-        run_study(config, variants, nets, GbtDemand(models, config), 40, 2, workers)[0]
-        for workers in (1, 2)
-    ]
+    studies = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        studies.append(run_study(config, variants, nets, GbtDemand(models, config), 40, 2)[0])
+        assert multiprocessing.active_children() == []
     serial, pooled = ({v: [r.to_dict() for r in runs[v]] for v in variants} for runs in studies)
     assert json.dumps(serial) == json.dumps(pooled)

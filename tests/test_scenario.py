@@ -2,7 +2,6 @@
 
 import json
 import math
-import pickle
 from datetime import datetime
 
 import numpy as np
@@ -317,18 +316,6 @@ def test_book_memo_is_bounded(monkeypatch):
     again = config.shift_book((1, 0))
     assert again is not first
     assert [again.orders(t, 0) for t in range(120)] == [first.orders(t, 0) for t in range(120)]
-
-
-def test_config_pickles_without_its_books():
-    config = default_scenario(seed=2)
-    predictor = RecordingPredictor()
-    for i in range(3):
-        config.shift_book((i,)).demand(predictor, 0)
-    data = pickle.dumps(config)
-    assert b"ShiftBook" not in data and b"RecordingPredictor" not in data
-    copy = pickle.loads(data)
-    assert copy == config and copy._books == {} and len(config._books) == 3
-    assert copy.shift_book((1,)).orders(30, 0) == config.shift_book((1,)).orders(30, 0)
 
 
 def test_synth_history_lands_on_saturdays():
