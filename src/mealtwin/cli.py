@@ -162,6 +162,14 @@ def _parse_int_list(text: str) -> List[int]:
         raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
+def _distinct(ids: List[int], flag: str) -> List[int]:
+    """Grid ids of a list flag; a repeated id would collapse silently."""
+    for k, gid in enumerate(ids):
+        if gid in ids[:k]:
+            raise ConfigError(f"{flag} repeats grid {gid}")
+    return ids
+
+
 def _build_predictor(kind: str, config: ScenarioConfig, model_path: Optional[str],
                      history_path: Optional[str]):
     if kind == "none":
@@ -201,7 +209,7 @@ def cmd_gen_scenario(args) -> int:
     if args.cols < 1 or args.rows < 1:
         raise ConfigError("region dimensions must be positive")
     if args.restaurant_ids is not None:
-        restaurant_ids = _parse_int_list(args.restaurant_ids)
+        restaurant_ids = _distinct(_parse_int_list(args.restaurant_ids), "--restaurant-ids")
         half_grids: Sequence[int] = ()
     elif args.cols == 5 and args.rows == 5:
         # The sample region keeps its restaurants and half-rate grids.
@@ -215,7 +223,12 @@ def cmd_gen_scenario(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.half_rate_grids is not None:
-        half_grids = _parse_int_list(args.half_rate_grids)
+        half_grids = _distinct(_parse_int_list(args.half_rate_grids), "--half-rate-grids")
+        for gid in half_grids:
+            if not 0 <= gid < len(region):
+                raise ConfigError(f"--half-rate-grids: grid {gid} is outside the region")
+            if gid not in restaurant_ids:
+                raise ConfigError(f"--half-rate-grids: grid {gid} is not a restaurant grid")
     half = set(half_grids)
     hours = sorted({args.start_hour + m // 60 for m in range(args.shift_minutes)})
     rates = {
@@ -265,18 +278,16 @@ def cmd_train(args) -> int:
         raise ConfigError("--episodes needs exactly three comma-separated counts")
     mode = _pick(args.mode, experiment, "mode", MODE_STRATEGIC)
     seed = _seed(_pick(args.seed, experiment, "train_seed", 0), "training seed")
-    forecaster = _pick(
-        args.forecaster,
-        experiment,
-        "forecaster",
-        "oracle" if mode == MODE_STRATEGIC else "none",
-    )
-    predictor = _build_predictor(
-        forecaster,
-        config,
-        _pick(args.gbt_model, experiment, "gbt_model", None),
-        _pick(args.history, experiment, "history", None),
-    )
+    # A myopic shift never reads forecasts, so only strategic training builds
+    # the predictor.
+    predictor = None
+    if mode == MODE_STRATEGIC:
+        predictor = _build_predictor(
+            _pick(args.forecaster, experiment, "forecaster", "oracle"),
+            config,
+            _pick(args.gbt_model, experiment, "gbt_model", None),
+            _pick(args.history, experiment, "history", None),
+        )
     plan = TrainingPlan(episodes=tuple(episodes), seed=seed, mode=mode)
     outdir = Path(_pick(args.outdir, experiment, "output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)

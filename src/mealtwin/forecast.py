@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, load_document, number, whole
+from .errors import ConfigError, NumericalError, load_document, number, whole
 from .scenario import DEFAULT_SHIFT_WEEKDAY, ScenarioConfig, TransactionRecord, fork_map
 
 GBT_SCHEMA = "mealtwin-gbt/1"
@@ -96,81 +96,114 @@ class RegressionTree:
         return len(self.feature) - 1
 
 
-def _best_split(
-    XT: np.ndarray, residual: np.ndarray, order: np.ndarray, total: float, params: GBTParams
-) -> Optional[Tuple[int, float]]:
-    """Best (feature, threshold) by L2-regularized variance reduction, or None
-    when no split gains more than 1e-12.
+class _Node:
+    """A node of the trees one fit grows, reached by one path of splits.
 
-    `order` (features x node rows) lists the node's row ids sorted by each
-    feature, as a stable argsort of the node's rows would; `total` is the
-    node's residual sum.  All features are scored in one pass.  Ties resolve
-    to the lowest feature index, then the lowest threshold: np.flatnonzero
-    lists the candidate boundaries feature-major and argmax keeps the first
-    maximum.
+    Every round grows its tree on the same rows and features; only the
+    residuals change.  So a node reached by the same splits holds the same
+    rows, per-feature sort and candidate splits in every round, and keeps
+    them for the whole fit: the candidates are built at the node's first
+    search, and each split's children when the node first takes it.
     """
-    features, n = order.shape
-    if n < 2 * params.min_leaf:
+
+    __slots__ = ("rows", "order", "at", "feat", "threshold", "left_den", "right_den", "children")
+
+    def __init__(self, rows: np.ndarray, order: Optional[np.ndarray]):
+        self.rows = rows  # ascending row ids
+        # features x rows: the rows sorted by each feature, as a stable
+        # argsort of the node's rows would; None where no search runs.
+        self.order = order
+        self.at: Optional[np.ndarray] = None  # candidates, as flat prefix-sum positions
+        self.children: Dict[Tuple[int, float], Tuple[_Node, _Node]] = {}
+
+    def build(self, XT: np.ndarray, params: GBTParams) -> None:
+        """The candidate splits: after sorted position i of feature f (left =
+        [0..i], right = the rest), wherever the value changes from i to i + 1
+        and both sides keep min_leaf rows.  np.flatnonzero lists them
+        feature-major, so argmax ties resolve to the lowest feature index,
+        then the lowest threshold."""
+        features, n = self.order.shape
+        lo, hi = params.min_leaf - 1, n - params.min_leaf
+        self.at = np.empty(0, dtype=np.intp)
+        if hi > lo:
+            width = XT.shape[1]
+            xs = XT.take(self.order + np.arange(0, features * width, width)[:, None])
+            feat, i = np.divmod(np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1]), hi - lo)
+            i += lo
+            self.at = feat * n + i
+            self.feat = feat
+            self.threshold = (xs.take(self.at) + xs.take(self.at + 1)) / 2.0
+            n_left = (i + 1).astype(np.float64)
+            self.left_den = n_left + params.l2_reg
+            self.right_den = n - n_left + params.l2_reg
+        if not len(self.at):
+            self.order = None  # never searched again
+
+    def part(self, side: np.ndarray, searched: bool) -> _Node:
+        """The child holding the rows where `side` is true, with their sort
+        if it will be `searched`.  Filtering each sorted row keeps it sorted,
+        ties still by row id."""
+        order = None
+        if searched:
+            order = self.order[side[self.order]].reshape(len(self.order), -1)
+        return _Node(self.rows[side[self.rows]], order)
+
+
+def _best_split(
+    node: _Node, XT: np.ndarray, residual: np.ndarray, total: float, params: GBTParams
+) -> Optional[Tuple[int, float]]:
+    """Best (feature, threshold) of `node` by L2-regularized variance
+    reduction, or None when no split gains more than 1e-12; `total` is the
+    node's residual sum.  All features are scored in one pass over the
+    node's candidates, built at its first search."""
+    if node.at is None:
+        node.build(XT, params)
+    if not len(node.at):
         return None
-    lam = params.l2_reg
-    parent_score = total * total / (n + lam)
-    width = XT.shape[1]
-    xs = XT.take(order + np.arange(0, features * width, width)[:, None])
-    prefix = residual.take(order).cumsum(axis=1)
-    # Candidate split after sorted position i: left = [0..i], right = rest,
-    # kept only where the value changes from i to i + 1.
-    lo, hi = params.min_leaf - 1, n - params.min_leaf
-    feat, i = np.divmod(np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1]), hi - lo)
-    if not len(i):
-        return None
-    i += lo
-    n_left = (i + 1).astype(np.float64)
-    left_sum = prefix.take(feat * n + i)
+    n = len(node.rows)
+    parent_score = total * total / (n + params.l2_reg)
+    left_sum = residual.take(node.order).cumsum(axis=1).take(node.at)
     right_sum = total - left_sum
-    gains = left_sum**2 / (n_left + lam) + right_sum**2 / (n - n_left + lam) - parent_score
+    gains = left_sum**2 / node.left_den + right_sum**2 / node.right_den - parent_score
     pos = int(gains.argmax())
     if gains[pos] <= 1e-12:
         return None
-    f, at = int(feat[pos]), int(i[pos])
-    return f, float((xs[f, at] + xs[f, at + 1]) / 2.0)
+    return int(node.feat[pos]), float(node.threshold[pos])
 
 
 def _grow(
     tree: RegressionTree,
     XT: np.ndarray,
     residual: np.ndarray,
-    rows: np.ndarray,
-    order: np.ndarray,
+    node: _Node,
     fitted: np.ndarray,
     depth: int,
     params: GBTParams,
 ) -> int:
-    """Grow a subtree over the training rows `rows` (ascending ids, with
-    `order` their per-feature sort), writing each row's leaf value into
-    `fitted`.  A row lands in the leaf that predicting it would reach,
-    because both take the same `<=` comparisons on the same values."""
-    node = tree._new_node()
+    """Grow a subtree over the training rows of `node`, writing each row's
+    leaf value into `fitted`.  A row lands in the leaf that predicting it
+    would reach, because both take the same `<=` comparisons on the same
+    values."""
+    index = tree._new_node()
+    rows = node.rows
     total = residual[rows].sum()
-    split = _best_split(XT, residual, order, total, params) if depth < params.max_depth else None
+    split = _best_split(node, XT, residual, total, params) if depth < params.max_depth else None
     if split is None:
-        tree.value[node] = float(total / (len(rows) + params.l2_reg))
-        fitted[rows] = tree.value[node]
-        return node
-    feat, thr = split
-    go_left = XT[feat] <= thr
-    tree.feature[node] = feat
-    tree.threshold[node] = thr
-    # Filtering each sorted row keeps it sorted, ties still by row id.
-    row_left, order_left = go_left[rows], go_left[order]
-    tree.left[node] = _grow(
-        tree, XT, residual, rows[row_left], order[order_left].reshape(len(order), -1),
-        fitted, depth + 1, params,
-    )
-    tree.right[node] = _grow(
-        tree, XT, residual, rows[~row_left], order[~order_left].reshape(len(order), -1),
-        fitted, depth + 1, params,
-    )
-    return node
+        tree.value[index] = float(total / (len(rows) + params.l2_reg))
+        fitted[rows] = tree.value[index]
+        return index
+    tree.feature[index], tree.threshold[index] = split
+    children = node.children.get(split)
+    if children is None:
+        go_left = XT[split[0]] <= split[1]
+        searched = depth + 1 < params.max_depth
+        children = node.children[split] = (
+            node.part(go_left, searched),
+            node.part(~go_left, searched),
+        )
+    tree.left[index] = _grow(tree, XT, residual, children[0], fitted, depth + 1, params)
+    tree.right[index] = _grow(tree, XT, residual, children[1], fitted, depth + 1, params)
+    return index
 
 
 @dataclass
@@ -252,13 +285,17 @@ class PackedForest:
         return np.add.accumulate(terms, axis=1)[:, -1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_gbt(
     X: np.ndarray, y: np.ndarray, params: GBTParams = GBTParams()
 ) -> GBTEnsemble:
     """Fit a boosting ensemble; each round fits a tree to current residuals.
 
     Each feature that varies is sorted once per fit; a node's sort is its
-    parent's, filtered to the rows the node keeps.
+    parent's, filtered to the rows the node keeps.  The nodes, with their
+    candidate splits and children, live until the fit returns.  Overflowing
+    arithmetic raises NumericalError at the first round whose loss is not
+    finite, as every non-finite leaf or fitted value makes it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -278,17 +315,19 @@ def train_gbt(
     varying = np.flatnonzero((X != X[:1]).any(axis=0))
     ids = varying.tolist() + [-1]
     XT = np.ascontiguousarray(X[:, varying].T)
-    order = np.argsort(XT, axis=1, kind="stable")
-    rows = np.arange(len(y))
+    root = _Node(np.arange(len(y)), np.argsort(XT, axis=1, kind="stable"))
     fitted = np.empty(len(y), dtype=np.float64)
-    for _ in range(params.rounds):
+    for k in range(params.rounds):
         residual = y - current
         tree = RegressionTree()
-        _grow(tree, XT, residual, rows, order, fitted, 0, params)
+        _grow(tree, XT, residual, root, fitted, 0, params)
         tree.feature = [ids[f] for f in tree.feature]
         model.trees.append(tree)
         current += params.shrinkage * fitted
-        model.train_losses.append(float(np.mean((y - current) ** 2)))
+        loss = float(np.mean((y - current) ** 2))
+        if not math.isfinite(loss):
+            raise NumericalError(f"gbt fit diverged: training loss {loss} in round {k + 1}")
+        model.train_losses.append(loss)
     return model
 
 

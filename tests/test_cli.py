@@ -151,6 +151,25 @@ def test_gen_scenario_default_region_takes_shift_and_rate_flags(tmp_path, capsys
     assert all(rates == {20: 8.4} for rates in config.hourly_rates.values())
 
 
+@pytest.mark.parametrize(
+    "flags, grid",
+    [
+        (["--half-rate-grids", "3"], "grid 3 is not a restaurant grid"),
+        (["--half-rate-grids", "99"], "grid 99 is outside the region"),
+        (["--half-rate-grids", "7,7"], "--half-rate-grids repeats grid 7"),
+        (
+            ["--cols", "3", "--rows", "3", "--restaurant-ids", "1,1"],
+            "--restaurant-ids repeats grid 1",
+        ),
+    ],
+)
+def test_gen_scenario_refuses_grid_ids_that_change_nothing(tmp_path, capsys, flags, grid):
+    out = tmp_path / "x.json"
+    assert main(["gen-scenario", "--out", str(out), *flags]) == 2
+    assert grid in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_artifacts(workspace, capsys):
     outdir = workspace / "weights_myopic"
     net, meta = load_qnet(outdir / "dispatch.json")
@@ -613,6 +632,34 @@ def test_evaluate_workers_share_one_forecaster_fit(workspace, tmp_path, monkeypa
     assert comparisons[0] == comparisons[1]
 
 
+def test_train_fits_a_forecaster_only_for_strategic_mode(workspace, tmp_path, monkeypatch):
+    """A myopic shift never reads forecasts: myopic training fits no GBT
+    forecaster, and needs no model or history for one; strategic fits one."""
+    scenario = str(workspace / "scenario.json")
+    history = tmp_path / "history.csv"
+    assert main(["synth-history", "--scenario", scenario, "--weeks", "1", "--out", str(history)]) == 0
+    fits = tmp_path / "fits.log"
+    fit = cli.train_demand_models
+
+    def counted_fit(*args, **kwargs):
+        with open(fits, "a") as fh:  # a file, so that forked workers count too
+            fh.write("fit\n")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_demand_models", counted_fit)
+    train = ["train", "--scenario", scenario, "--episodes", "1,1,1", "--forecaster", "gbt"]
+    for mode, extra, expected in [
+        ("myopic", [], []),
+        ("myopic", ["--history", str(history)], []),
+        ("strategic", ["--history", str(history)], ["fit"]),
+    ]:
+        fits.write_text("")
+        outdir = tmp_path / f"{mode}{len(extra)}"
+        assert main([*train, "--mode", mode, *extra, "--outdir", str(outdir)]) == 0
+        assert fits.read_text().splitlines() == expected
+        assert (outdir / "dispatch.json").exists()
+
+
 def test_evaluate_validation(workspace, capsys):
     scenario = str(workspace / "scenario.json")
     assert main(["evaluate", "--shifts", "1"]) == 2  # scenario missing
@@ -792,6 +839,21 @@ def test_synth_history_and_forecast_eval(workspace, tmp_path, capsys):
     assert doc["overall"]["samples"] > 0
     assert set(doc["grids"]) == {str(g) for g in (7, 8, 9, 12, 13, 14, 17, 18, 19)}
     assert model_out.exists()
+
+
+def test_forecast_eval_exits_3_and_writes_nothing_when_the_fit_overflows(
+    workspace, tmp_path, capsys
+):
+    scenario = str(workspace / "scenario.json")
+    history = str(tmp_path / "history.csv")
+    assert main(["synth-history", "--scenario", scenario, "--weeks", "1", "--out", history]) == 0
+    model_out, report_out = tmp_path / "models.json", tmp_path / "forecast.json"
+    args = ["forecast-eval", "--scenario", scenario, "--history", history, "--holdout", history]
+    outputs = ["--model-out", str(model_out), "--report-out", str(report_out)]
+    assert main([*args, "--rounds", "5", "--shrinkage", "1e308", *outputs]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err and "holdout MAE" not in captured.out
+    assert not model_out.exists() and not report_out.exists()
 
 
 @pytest.mark.parametrize(

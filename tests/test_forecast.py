@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mealtwin import forecast
-from mealtwin.errors import ConfigError
+from mealtwin.errors import ConfigError, NumericalError
 from mealtwin.evaluate import run_study
 from mealtwin.forecast import (
     F_DOW,
@@ -497,6 +497,51 @@ def test_presorted_fit_matches_reference_on_demand_history():
     assert_same_fit(X, y, GBTParams(rounds=5, max_depth=5, min_leaf=3))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.integers(1, 150),
+    cols=st.integers(1, 6),
+    levels=st.integers(1, 6),
+    rounds=st.integers(25, 40),
+    max_depth=st.integers(1, 5),
+    min_leaf=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_fit_reusing_nodes_over_many_rounds_matches_reference(
+    rows, cols, levels, rounds, max_depth, min_leaf, seed
+):
+    """Over many rounds most searches land on a node an earlier round built;
+    the fit must still equal the reference walk, which builds every node."""
+    rng = make_rng(seed)
+    X = rng.integers(0, levels, (rows, cols)).astype(np.float64)
+    y = rng.integers(-3, 4, rows) + rng.uniform(0.0, 1.0, rows)
+    assert_same_fit(X, y, GBTParams(rounds=rounds, max_depth=max_depth, min_leaf=min_leaf))
+
+
+def _two_week_grid():
+    config = default_scenario()
+    return build_training_sets(synth_history(config, 2, make_rng(8)), config)[7]
+
+
+def test_default_fit_matches_reference_on_two_weeks_of_demand_history():
+    assert_same_fit(*_two_week_grid(), GBTParams())
+
+
+def test_repeat_split_searches_reuse_the_node_structure(monkeypatch):
+    """A node reached again in a later round reuses its candidates, so a
+    default fit builds far fewer of them than it runs split searches."""
+    builds, searches = [], []
+    build, best_split = forecast._Node.build, forecast._best_split
+    monkeypatch.setattr(
+        forecast._Node, "build", lambda node, *a: builds.append(1) or build(node, *a)
+    )
+    monkeypatch.setattr(
+        forecast, "_best_split", lambda *a: searches.append(1) or best_split(*a)
+    )
+    train_gbt(*_two_week_grid(), GBTParams())
+    assert 0 < len(builds) < len(searches) / 2
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -539,6 +584,15 @@ def test_gbt_params_edge_values_accepted():
 def test_train_gbt_refuses_bad_data(X, y):
     with pytest.raises(ConfigError):
         train_gbt(X, y, GBTParams(rounds=2))
+
+
+@pytest.mark.parametrize("shrinkage", [1e308, 1e200])
+def test_train_gbt_raises_when_its_arithmetic_overflows(shrinkage):
+    """A shrinkage that overflows the fitted values fails the fit, with no
+    RuntimeWarning on the way (tier-1 turns those into errors)."""
+    X, y = _two_week_grid()
+    with pytest.raises(NumericalError, match="round"):
+        train_gbt(X, y, GBTParams(rounds=5, shrinkage=shrinkage))
 
 
 def _saved_model_doc(tmp_path):
