@@ -92,15 +92,18 @@ def _str_or_list_of(check):
     return lambda v: _is_str(v) or (isinstance(v, list) and all(map(check, v)))
 
 
+MODES = (MODE_STRATEGIC, MODE_MYOPIC)
+FORECASTERS = ("oracle", "gbt", "none")
+
 # What experiment keys must hold: (description, check, keys).  Episodes and
 # variants may also be one comma-separated string, like their flags.
 _EXPERIMENT_TYPES = (
     ("an integer", _is_int, ("shifts", "eval_seed", "train_seed")),
-    (
-        "a string",
-        _is_str,
-        ("scenario", "gbt_model", "history", "output_dir", "mode", "forecaster"),
-    ),
+    ("a string", _is_str, ("scenario", "gbt_model", "history", "output_dir")),
+    # Checked here, as their flags are by their choices: a run that builds no
+    # forecaster (myopic training) would not notice a misspelt one.
+    (f"one of {', '.join(MODES)}", lambda v: v in MODES, ("mode",)),
+    (f"one of {', '.join(FORECASTERS)}", lambda v: v in FORECASTERS, ("forecaster",)),
     ("a string or a list of integers", _str_or_list_of(_is_int), ("episodes",)),
     ("a string or a list of strings", _str_or_list_of(_is_str), ("variants",)),
     (
@@ -561,7 +564,7 @@ def _add_weight_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_forecaster_flags(sub: argparse.ArgumentParser, default: Optional[str]) -> None:
-    sub.add_argument("--forecaster", choices=("oracle", "gbt", "none"), default=default)
+    sub.add_argument("--forecaster", choices=FORECASTERS, default=default)
     sub.add_argument("--gbt-model", dest="gbt_model", default=None)
     sub.add_argument("--history", default=None)
 
@@ -595,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run the three-phase sandwich training")
     p.add_argument("--config", default=None)
     p.add_argument("--scenario", default=None)
-    p.add_argument("--mode", choices=(MODE_STRATEGIC, MODE_MYOPIC), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--episodes", default=None, help="three counts, e.g. 200,150,100")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--outdir", default=None)

@@ -238,6 +238,9 @@ def test_experiment_config_supplies_defaults(workspace, tmp_path, capsys):
         ("evaluate", "eval-seed", 3),  # a typo
         ("evaluate", "weights", {"myopic_steer": "steering.json"}),  # an unknown slot
         ("train", "output_activation", "relu"),  # a retired key
+        ("train", "forecaster", "gbot"),  # read by strategic training only
+        ("train", "mode", "greedy"),
+        ("evaluate", "forecaster", 3),
     ],
 )
 def test_experiment_config_rejects_wrong_types(workspace, tmp_path, capsys, command, key, value):
