@@ -64,22 +64,18 @@ def encode_dispatch_state(sim: SimState, oid: int) -> Tuple[np.ndarray, np.ndarr
 def reward_assign(
     sim: SimState,
     oid: int,
-    cid: int,
+    projection: Tuple[int, int, float],
     params: DispatchRewardParams = DispatchRewardParams(),
-    sd_gap: Optional[float] = None,
-    projection: Optional[Tuple[int, int, float]] = None,
 ) -> Tuple[float, dict]:
-    """Reward for assigning the order to the courier, computed at decision
-    time from the courier's projected arrival and the order's actual ready
-    time (which the environment knows but the state does not expose).
-    `projection` is the courier's `projected_arrival` for the order's
-    restaurant, when the caller has computed it."""
+    """Reward for assigning the order to the courier whose
+    `projected_arrival` for the order's restaurant is `projection`, computed
+    at decision time from that arrival and the order's actual ready time
+    (which the environment knows but the state does not expose).  The
+    rebalancing term reads the gap field at the grid the courier starts
+    from, which is the courier's entry in the dispatch state."""
     o = sim.orders[oid]
-    if projection is None:
-        projection = sim.projected_arrival(cid, o.restaurant)
     g_future, d, arrival = projection
-    if sd_gap is None:
-        sd_gap = float(sim.gap_field()[g_future])
+    sd_gap = float(sim.gap_field()[g_future])
     gap = arrival - o.ready_time
     rho = params.rho
     balance = 1.0 if sd_gap > 0 else -1.0
@@ -109,7 +105,6 @@ def apply_dispatch_decision(
     oid: int,
     action: int,
     params: DispatchRewardParams = DispatchRewardParams(),
-    sd_gap: Optional[float] = None,
 ) -> Tuple[float, bool]:
     """Execute one dispatch action and return (raw reward, order removed)."""
     fleet = sim.config.fleet_size
@@ -118,8 +113,8 @@ def apply_dispatch_decision(
         sim.apply_postpone(oid, removed)
         return reward, removed
     projection = sim.projected_arrival(action, sim.orders[oid].restaurant)
-    reward, audit = reward_assign(sim, oid, action, params, sd_gap, projection)
-    sim.apply_dispatch(oid, action, audit=audit, projection=projection)
+    reward, audit = reward_assign(sim, oid, projection, params)
+    sim.apply_dispatch(oid, action, projection, audit)
     return reward, False
 
 
@@ -235,13 +230,11 @@ class ConvDdqnPolicy:
 
     def __call__(self, sim: SimState, oid: int, remaining: List[int]) -> None:
         action, s, mask, q = self.decide(sim, oid)
-        fleet = sim.config.fleet_size
-        sd = float(s[3 + 3 * action]) if action < fleet else None
-        reward, removed = apply_dispatch_decision(sim, oid, action, self.params, sd_gap=sd)
+        reward, removed = apply_dispatch_decision(sim, oid, action, self.params)
         if self.learner is not None:
             s2, mask2, done = dispatch_next_state(sim, s, action, removed, remaining)
             self.learner.record(s, action, reward * REWARD_SCALE, s2, done, mask2, reward)
-            if remaining and (action < fleet or removed):
+            if remaining and (action < sim.config.fleet_size or removed):
                 self._successor = (weakref.ref(sim), sim.revision, remaining[0], s2, mask2)
         if self.trace is not None:
             self.trace.append(

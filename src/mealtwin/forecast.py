@@ -40,21 +40,23 @@ MEMO_ROWS = 1 << 15
 LAG_BITS = 10
 
 
-def lag_window_counts(counts: np.ndarray, minute: int) -> np.ndarray:
-    """Lagged window sums over the last axis of per-minute counts of the
-    current shift, shape counts.shape[:-1] + (NUM_LAGS,).
+def lag_window_counts(counts: np.ndarray, minute) -> np.ndarray:
+    """Lagged window sums over the last axis of per-minute counts of a shift,
+    at one minute or an array of minutes: shape counts.shape[:-1] +
+    np.shape(minute) + (NUM_LAGS,).  Training and prediction both build
+    their lag features here.
 
     Window k (k=1..4) covers shift minutes (minute-15k, minute-15(k-1)];
-    minutes before the start of the shift contribute zero.  Counts are whole
-    numbers, so every slice sum is exact.
+    minutes outside the shift contribute zero.  Each window is a difference
+    of cumulative counts; counts are whole numbers, so every sum is exact.
     """
-    lags = np.zeros(counts.shape[:-1] + (NUM_LAGS,), dtype=np.float64)
-    for k in range(1, NUM_LAGS + 1):
-        lo_idx = max(minute - WINDOW_MIN * k + 1, 0)
-        hi_idx = min(minute - WINDOW_MIN * (k - 1), counts.shape[-1] - 1)
-        if hi_idx >= lo_idx:
-            lags[..., k - 1] = counts[..., lo_idx : hi_idx + 1].sum(axis=-1)
-    return lags
+    n = counts.shape[-1]
+    cumulative = np.zeros(counts.shape[:-1] + (n + 1,), dtype=np.float64)
+    np.cumsum(counts, axis=-1, out=cumulative[..., 1:])
+    edges = [
+        cumulative[..., np.clip(minute - WINDOW_MIN * k + 1, 0, n)] for k in range(NUM_LAGS + 1)
+    ]
+    return np.stack([edges[k] - edges[k + 1] for k in range(NUM_LAGS)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -208,10 +210,9 @@ def _grow(
 
 @dataclass
 class GBTEnsemble:
-    """base_score plus shrinkage-weighted sum of regression trees."""
+    """base_score plus the params.shrinkage-weighted sum of regression trees."""
 
     base_score: float
-    shrinkage: float
     trees: List[RegressionTree] = field(default_factory=list)
     params: GBTParams = field(default_factory=GBTParams)
     train_losses: List[float] = field(default_factory=list)
@@ -256,7 +257,7 @@ class PackedForest:
         self.roots = np.zeros((len(models), width), dtype=np.intp)
         self.roots[self.live] = starts
         self.base = np.array([m.base_score for m in models], dtype=np.float64)
-        self.shrinkage = np.array([m.shrinkage for m in models], dtype=np.float64)
+        self.shrinkage = np.array([m.params.shrinkage for m in models], dtype=np.float64)
         self.depth = 0
         frontier = starts
         while True:
@@ -307,7 +308,7 @@ def train_gbt(
         raise ConfigError("cannot train a forecaster on an empty dataset")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ConfigError("training data holds non-finite values")
-    model = GBTEnsemble(base_score=float(y.mean()), shrinkage=params.shrinkage, params=params)
+    model = GBTEnsemble(base_score=float(y.mean()), params=params)
     current = np.full(len(y), model.base_score, dtype=np.float64)
     # A feature constant over the training rows never splits, so only the
     # varying ones are sorted and searched; ids[f] maps a searched feature
@@ -381,16 +382,11 @@ def build_training_sets(
             counts = by_day[day].get(gid)
             if counts is None:
                 counts = np.zeros(n_minutes)
-            # Exact window sums via cumulative counts: orders are unit weights,
-            # so float addition order cannot change the result.
-            C = np.concatenate(([0.0], np.cumsum(counts)))
-            cols = [np.full(n_minutes, float(day.weekday())), (start + t // 60).astype(np.float64)]
-            for k in range(1, NUM_LAGS + 1):
-                a = np.clip(t - WINDOW_MIN * k + 1, 0, n_minutes)
-                b = np.clip(t - WINDOW_MIN * (k - 1) + 1, 0, n_minutes)
-                cols.append(C[b] - C[a])
-            day_X.append(np.column_stack(cols))
-            day_y.append(C[np.clip(t + 1 + WINDOW_MIN, 0, n_minutes)] - C[t + 1])
+            weekday = np.full(n_minutes, float(day.weekday()))
+            hour = (start + t // 60).astype(np.float64)
+            day_X.append(np.column_stack((weekday, hour, lag_window_counts(counts, t))))
+            # The next window, (t, t+15], is window 1 at minute t+15.
+            day_y.append(lag_window_counts(counts, t + WINDOW_MIN)[:, 0])
         datasets[gid] = (np.concatenate(day_X), np.concatenate(day_y))
     return datasets
 
@@ -518,7 +514,7 @@ def save_demand_models(path: Path, models: Dict[int, GBTEnsemble]) -> None:
         "grids": {
             str(gid): {
                 "base_score": model.base_score,
-                "shrinkage": model.shrinkage,
+                "shrinkage": model.params.shrinkage,
                 "params": {
                     "rounds": model.params.rounds,
                     "max_depth": model.params.max_depth,
@@ -546,16 +542,17 @@ def _models_from_dict(doc: dict) -> Dict[int, GBTEnsemble]:
             l2_reg=number(entry["params"]["l2_reg"], "l2_reg"),
             shrinkage=number(entry["params"]["shrinkage"], "shrinkage"),
         )
+        if number(entry["shrinkage"], "shrinkage") != params.shrinkage:
+            raise ConfigError(f"grid {gid}: shrinkage and params.shrinkage differ")
         model = GBTEnsemble(
             base_score=number(entry["base_score"], "base_score"),
-            shrinkage=number(entry["shrinkage"], "shrinkage"),
             trees=[
                 _tree_from_dict(t, f"grid {gid} tree {k}") for k, t in enumerate(entry["trees"])
             ],
             params=params,
         )
-        if not (math.isfinite(model.base_score) and math.isfinite(model.shrinkage)):
-            raise ConfigError(f"grid {gid}: base score and shrinkage must be finite")
+        if not math.isfinite(model.base_score):
+            raise ConfigError(f"grid {gid}: base score must be finite")
         models[int(gid)] = model
     return models
 

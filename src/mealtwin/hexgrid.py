@@ -37,10 +37,6 @@ class HexCoord:
     q: int
     r: int
 
-    def neighbor(self, slot: int) -> "HexCoord":
-        dq, dr = AXIAL_DIRECTIONS[slot]
-        return HexCoord(self.q + dq, self.r + dr)
-
 
 @dataclass(frozen=True)
 class ServiceRegion:

@@ -1,13 +1,14 @@
 """From-scratch deep Q-learning machinery on numpy float64.
 
-Value networks are small dense stacks, optionally fronted by a shared
-courier-embedding layer: a single weight triple applied window-3/stride-3
-without bias across the courier section of the input, producing one scalar
-embedding per courier.  Forward, backward, Adam, replay and the TD update are
-all implemented here; no autograd framework is involved.  The TD target takes
-the frozen target net's masked max over the next state (the Nature-DQN
-target), not the double-DQN target, where the online net picks the action;
-ROADMAP item 2 plans that change.
+Value networks are small dense stacks with the standard DQN head (relu on
+every hidden layer, linear action values on the last), optionally fronted by
+a shared courier-embedding layer: a single weight triple applied
+window-3/stride-3 without bias across the courier section of the input,
+producing one scalar embedding per courier.  Forward, backward, Adam, replay
+and the TD update are all implemented here; no autograd framework is
+involved.  The TD target takes the frozen target net's masked max over the
+next state (the Nature-DQN target), not the double-DQN target, where the
+online net picks the action; ROADMAP item 2 plans that change.
 
 Replay is a ring of preallocated arrays, one per transition field: a push
 writes one row, and a sample gathers every field at one draw of row indices
@@ -43,26 +44,18 @@ EPSILON_START = 0.95
 EPSILON_DECAY = 0.99
 EPSILON_FLOOR = 0.005
 
-ACT_RELU = "relu"
-ACT_LINEAR = "linear"
-
 
 @dataclass(frozen=True)
 class NetSpec:
-    """Architecture description; serialized alongside weights."""
+    """Architecture description; serialized alongside weights.  Every layer
+    but the last is relu; the last is linear."""
 
     input_dim: int
     layer_dims: Tuple[int, ...]
-    activations: Tuple[str, ...]
     head_dim: int = 0  # passthrough scalars ahead of the embedded triples
     embed_groups: int = 0  # courier triples consumed by the shared embedding
 
     def __post_init__(self) -> None:
-        if len(self.layer_dims) != len(self.activations):
-            raise ConfigError("layer_dims and activations must align")
-        for act in self.activations:
-            if act not in (ACT_RELU, ACT_LINEAR):
-                raise ConfigError(f"unknown activation {act!r}")
         if self.embed_groups:
             expected = self.head_dim + 3 * self.embed_groups
             if self.input_dim != expected:
@@ -157,13 +150,14 @@ class QNet:
                 cache["triples"] = triples
         else:
             a = X
-        for w, b, act in zip(self.weights, self.biases, self.spec.activations):
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w
             z += b
             if cache is not None:
                 cache["inputs"].append(a)
                 cache["pre"].append(z)
-            if act == ACT_RELU:
+            if i < last:
                 # Without a cache nothing else reads z, so relu may overwrite it.
                 a = np.maximum(z, 0.0, out=None if cache is not None else z)
             else:
@@ -176,10 +170,10 @@ class QNet:
         offset_embed = 3 if self.spec.embed_groups else 0
         g_weights: List[np.ndarray] = []
         g_biases: List[np.ndarray] = []
+        last = len(self.weights) - 1
         da = dQ
-        for idx in range(len(self.weights) - 1, -1, -1):
-            z = cache["pre"][idx]
-            dz = da * (z > 0.0) if self.spec.activations[idx] == ACT_RELU else da
+        for idx in range(last, -1, -1):
+            dz = da if idx == last else da * (cache["pre"][idx] > 0.0)
             g_weights.append(cache["inputs"][idx].T @ dz)
             g_biases.append(dz.sum(axis=0))
             da = dz @ self.weights[idx].T
@@ -200,8 +194,7 @@ class QNet:
 class Adam:
     """Adam with bias correction, operating in place on a flat parameter vector."""
 
-    def __init__(self, n_params: int, lr: float = LEARNING_RATE):
-        self.lr = lr
+    def __init__(self, n_params: int):
         self.t = 0
         self.m = np.zeros(n_params, dtype=np.float64)
         self.v = np.zeros(n_params, dtype=np.float64)
@@ -212,7 +205,7 @@ class Adam:
         self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
         m_hat = self.m / (1.0 - ADAM_BETA1**self.t)
         v_hat = self.v / (1.0 - ADAM_BETA2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        params -= LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -330,22 +323,16 @@ def loss_and_grad(
     return loss, net.backward(cache, dq)
 
 
-def td_targets(target_net: QNet, batch: Batch, gamma: float = GAMMA) -> np.ndarray:
+def td_targets(target_net: QNet, batch: Batch) -> np.ndarray:
     q2, _ = target_net.forward_batch(batch.s2)
     best = np.where(batch.mask2, q2, MASKED_Q).max(axis=1)
-    return batch.r + gamma * best * (~batch.done).astype(np.float64)
+    return batch.r + GAMMA * best * (~batch.done).astype(np.float64)
 
 
-def learn(
-    value: QNet,
-    target: QNet,
-    batch: Batch,
-    adam: Adam,
-    gamma: float = GAMMA,
-) -> float:
+def learn(value: QNet, target: QNet, batch: Batch, adam: Adam) -> float:
     """One TD update: targets from the frozen net, an Adam step on the
     gradient clipped elementwise to GRAD_CLIP."""
-    y = td_targets(target, batch, gamma)
+    y = td_targets(target, batch)
     loss, grad = loss_and_grad(value, batch.s, batch.a, y)
     if not np.isfinite(loss) or not np.isfinite(grad).all():
         raise NumericalError(f"non-finite TD loss or gradient (loss={loss})")
@@ -364,7 +351,6 @@ def dispatch_qnet(
     spec = NetSpec(
         input_dim=1 + 3 * fleet_size,
         layer_dims=(hidden, fleet_size + 1),
-        activations=(ACT_RELU, ACT_LINEAR),
         head_dim=1,
         embed_groups=fleet_size,
     )
@@ -373,12 +359,13 @@ def dispatch_qnet(
 
 def steering_qnet(rng: Optional[np.random.Generator] = None) -> QNet:
     """Idle-steering net: 14 -> 32 -> 16 -> 7 (stay plus six neighbor slots)."""
-    spec = NetSpec(
-        input_dim=14,
-        layer_dims=(32, 16, 7),
-        activations=(ACT_RELU, ACT_RELU, ACT_LINEAR),
-    )
-    return QNet(spec, rng)
+    return QNet(NetSpec(input_dim=14, layer_dims=(32, 16, 7)), rng)
+
+
+def _activations(layers: int) -> List[str]:
+    """The activation names a weights file lists for a stack of this many
+    layers."""
+    return ["relu"] * (layers - 1) + ["linear"]
 
 
 def save_qnet(path: Path, net: QNet, meta: Optional[Dict] = None) -> None:
@@ -387,7 +374,7 @@ def save_qnet(path: Path, net: QNet, meta: Optional[Dict] = None) -> None:
         "spec": {
             "input_dim": net.spec.input_dim,
             "layer_dims": list(net.spec.layer_dims),
-            "activations": list(net.spec.activations),
+            "activations": _activations(len(net.spec.layer_dims)),
             "head_dim": net.spec.head_dim,
             "embed_groups": net.spec.embed_groups,
         },
@@ -418,10 +405,12 @@ def _weights(value, shape: Tuple[int, ...], name: str) -> np.ndarray:
 
 
 def _qnet_from_dict(doc: dict) -> Tuple[QNet, Dict]:
+    layer_dims = tuple(whole(d, "layer dim") for d in doc["spec"]["layer_dims"])
+    if doc["spec"]["activations"] != _activations(len(layer_dims)):
+        raise ConfigError("activations must be relu on every layer but the last, linear on it")
     spec = NetSpec(
         input_dim=whole(doc["spec"]["input_dim"], "input_dim"),
-        layer_dims=tuple(whole(d, "layer dim") for d in doc["spec"]["layer_dims"]),
-        activations=tuple(doc["spec"]["activations"]),
+        layer_dims=layer_dims,
         head_dim=whole(doc["spec"]["head_dim"], "head_dim"),
         embed_groups=whole(doc["spec"]["embed_groups"], "embed_groups"),
     )

@@ -69,11 +69,6 @@ class Order:
     est_prep: float  # kitchen's estimated prep minutes
     actual_prep: float  # realized prep minutes (hidden from policies)
     status: str = "pending"  # pending | assigned | picked_up | delivered | overdue
-    assigned_courier: Optional[int] = None
-    courier_arrival: Optional[float] = None  # arrival at the restaurant, minutes
-    pickup_distance: Optional[int] = None
-    pickup_time: Optional[float] = None
-    delivered_at: Optional[float] = None
 
     @property
     def est_ready(self) -> float:
@@ -120,6 +115,8 @@ class ScenarioConfig:
     )
 
     def __post_init__(self) -> None:
+        if not self.region.restaurant_ids:
+            raise ConfigError("the region has no restaurant grid, so no order can be placed")
         if self.fleet_size < 1:
             raise ConfigError("fleet_size must be >= 1")
         if self.shift_minutes < 1:

@@ -43,11 +43,10 @@ A shift's orders and its demand forecasts come from the config's
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -387,29 +386,20 @@ class SimState:
     # ------------------------------------------------------------ environment ops
 
     def apply_dispatch(
-        self,
-        oid: int,
-        cid: int,
-        audit: Optional[dict] = None,
-        projection: Optional[Tuple[int, int, float]] = None,
+        self, oid: int, cid: int, projection: Tuple[int, int, float], audit: dict
     ) -> None:
         """Append a delivery task for the order to the courier's queue.
         `projection` is this courier's `projected_arrival` for the order's
-        restaurant, when the caller has computed it."""
+        restaurant, and `audit` joins the logged assignment's detail."""
         o = self.orders[oid]
         if o.status != "pending":
             raise ContractError(f"order {oid} is not pending")
         c = self.couriers[cid]
         if c.delivery_task_count() >= self.config.max_delivery_tasks:
             raise ContractError(f"courier {cid} already holds the delivery task cap")
-        if projection is None:
-            projection = self.projected_arrival(cid, o.restaurant)
         _, d, arrival = projection
         self._count_idle()
         o.status = "assigned"
-        o.assigned_courier = cid
-        o.courier_arrival = arrival
-        o.pickup_distance = d
         self._drop_pending(o)
         self.revision += 1
         c.queue.append(Task(DELIVERY, order_id=oid))
@@ -423,9 +413,8 @@ class SimState:
             "pickup_distance": d,
             "arrival": arrival,
             "ready": o.ready_time,
+            **audit,
         }
-        if audit:
-            detail.update(audit)
         self.log(f"order:{oid}", "assigned", detail)
 
     def apply_postpone(self, oid: int, remove_overdue: bool) -> None:
@@ -605,7 +594,6 @@ class SimState:
 
     def _do_pickup(self, c: Courier, o: Order) -> None:
         o.status = "picked_up"
-        o.pickup_time = c.pickup_time
         self.log(
             f"order:{o.id}",
             "pickup",
@@ -650,7 +638,6 @@ class SimState:
                     return
                 done = c.done_time
                 o.status = "delivered"
-                o.delivered_at = done
                 c.grid = o.household
                 c.served += 1
                 c.distance += self.region.distance(o.restaurant, o.household)
@@ -677,10 +664,8 @@ class SimState:
 # ------------------------------------------------------------------- event io
 
 
-def events_to_csv(events: Sequence[Event], target: Union[Path, io.TextIOBase]) -> None:
-    own = isinstance(target, (str, Path))
-    fh = open(target, "w", newline="") if own else target
-    try:
+def events_to_csv(events: Sequence[Event], path: Path) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENTS_HEADER)
         for ev in events:
@@ -692,15 +677,10 @@ def events_to_csv(events: Sequence[Event], target: Union[Path, io.TextIOBase]) -
                     json.dumps(ev.detail, sort_keys=True, separators=(",", ":")),
                 )
             )
-    finally:
-        if own:
-            fh.close()
 
 
-def events_from_csv(source: Union[Path, io.TextIOBase]) -> List[Event]:
-    own = isinstance(source, (str, Path))
-    fh = open(source, newline="") if own else source
-    try:
+def events_from_csv(path: Path) -> List[Event]:
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != EVENTS_HEADER:
@@ -712,6 +692,3 @@ def events_from_csv(source: Union[Path, io.TextIOBase]) -> List[Event]:
             except (ValueError, IndexError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"malformed event at line {line}: {exc}") from exc
         return events
-    finally:
-        if own:
-            fh.close()

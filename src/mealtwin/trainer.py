@@ -29,9 +29,7 @@ from .errors import ConfigError, ContractError, NumericalError
 from .rlcore import (
     BATCH_SIZE,
     EPSILON_START,
-    GAMMA,
     LEARN_PERIOD_STEPS,
-    LEARNING_RATE,
     REPLAY_CAPACITY,
     Adam,
     QNet,
@@ -128,7 +126,7 @@ class _Learner:
         self.net = net
         self.target = net.clone()
         self.buffer = ReplayBuffer(REPLAY_CAPACITY, net.spec.input_dim, net.num_actions)
-        self.adam = Adam(net.params.size, lr=LEARNING_RATE)
+        self.adam = Adam(net.params.size)
         self.rng = make_rng(plan.seed, 91, phase_index)
         self.epsilon_start = epsilon_start
         self.learn_updates = 0
@@ -165,7 +163,7 @@ class _Learner:
         if len(self.buffer) < BATCH_SIZE:
             return
         batch = self.buffer.sample(BATCH_SIZE, self.rng)
-        loss = learn(self.net, self.target, batch, self.adam, GAMMA)
+        loss = learn(self.net, self.target, batch, self.adam)
         self.learn_updates += 1
         self.losses.append(loss)
 

@@ -10,7 +10,8 @@ search with a fresh sort per feature, the scalar walk of its trees, the hex
 distance formula, a fleet projection (its own walk over each queue, on that
 formula), gap field, idle and pending counts, dispatch and steering
 encodings recomputed from the couriers at each call, and the steering reward
-summed over a shifted gap field.  Tests import it as ``from oracles import
+summed over a shifted gap field.  `assign` is the one way tests place an
+order on a courier without a policy.  Tests import it as ``from oracles import
 ...``.
 """
 
@@ -23,8 +24,6 @@ import numpy as np
 from mealtwin.errors import ContractError
 from mealtwin.forecast import NUM_LAGS, WINDOW_MIN, GBTEnsemble, GBTParams, RegressionTree
 from mealtwin.rlcore import (
-    ACT_LINEAR,
-    ACT_RELU,
     GAMMA,
     Adam,
     NetSpec,
@@ -63,11 +62,7 @@ from mealtwin.simcore import (
 def preactivation_margin(net: QNet, X: np.ndarray) -> float:
     """Smallest |pre-activation| across relu layers; guards gradient checks."""
     _, cache = net.forward_batch(X, want_cache=True)
-    margins = [
-        np.abs(z).min()
-        for z, act in zip(cache["pre"], net.spec.activations)
-        if act == ACT_RELU
-    ]
+    margins = [np.abs(z).min() for z in cache["pre"][:-1]]  # the last layer is linear
     return float(min(margins)) if margins else np.inf
 
 
@@ -92,13 +87,14 @@ def _stacked_batch_loss(
         offset = 3
     else:
         a = X  # (B, din) broadcasts against the (R, din, dout) weight stack
-    for (din, dout), act in zip(net._shapes, spec.activations):
+    last = len(net._shapes) - 1
+    for i, (din, dout) in enumerate(net._shapes):
         w = P[:, offset : offset + din * dout].reshape(len(P), din, dout)
         offset += din * dout
         b = P[:, offset : offset + dout]
         offset += dout
         z = np.matmul(a, w) + b[:, None, :]
-        a = np.maximum(z, 0.0) if act == ACT_RELU else z
+        a = z if i == last else np.maximum(z, 0.0)
     pred = a[:, np.arange(len(actions)), actions]
     return np.mean((pred - targets) ** 2, axis=1)
 
@@ -262,16 +258,12 @@ def ddqn_toy_train(
     batch_size: int = 32,
     capacity: int = 500,
     sync_every: int = 50,
-    gamma: float = GAMMA,
     max_steps: int = 100,
 ) -> QNet:
-    """Run the full DDQN loop (replay, target net, clipped Adam) on a toy MDP."""
-    spec = NetSpec(
-        input_dim=mdp.n_states,
-        layer_dims=(hidden, mdp.n_actions),
-        activations=(ACT_RELU, ACT_LINEAR),
-    )
-    value = QNet(spec, rng)
+    """Run the full DDQN loop (replay, target net, clipped Adam) on a toy MDP;
+    it learns with the library's GAMMA, as `tabular_q_learning` does by
+    default."""
+    value = QNet(NetSpec(input_dim=mdp.n_states, layer_dims=(hidden, mdp.n_actions)), rng)
     target = value.clone()
     adam = Adam(value.params.size)
     buffer = ReplayBuffer(capacity, mdp.n_states, mdp.n_actions)
@@ -286,7 +278,7 @@ def ddqn_toy_train(
             s2, r, done = mdp.step(s, a, rng)
             buffer.push(onehot[s], a, r, onehot[s2], done, mask)
             if len(buffer) >= batch_size:
-                learn(value, target, buffer.sample(batch_size, rng), adam, gamma)
+                learn(value, target, buffer.sample(batch_size, rng), adam)
                 learn_count += 1
                 if learn_count % sync_every == 0:
                     sync_target(value, target)
@@ -449,7 +441,7 @@ def reference_train_gbt(X: np.ndarray, y: np.ndarray, params: GBTParams) -> GBTE
     presorted fit must reproduce bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    model = GBTEnsemble(base_score=float(y.mean()), shrinkage=params.shrinkage, params=params)
+    model = GBTEnsemble(base_score=float(y.mean()), params=params)
     current = np.full(len(y), model.base_score, dtype=np.float64)
     rows = np.arange(len(y))
     fitted = np.empty(len(y), dtype=np.float64)
@@ -481,7 +473,7 @@ def ensemble_predict(model: GBTEnsemble, x: np.ndarray) -> float:
     """base + shrinkage * leaf, tree by tree in Python floats, clamped at 0."""
     raw = model.base_score
     for tree in model.trees:
-        raw += model.shrinkage * tree_predict(tree, x)
+        raw += model.params.shrinkage * tree_predict(tree, x)
     return max(raw, 0.0)
 
 
@@ -584,6 +576,12 @@ def project_courier(sim: SimState, c: Courier) -> Tuple[int, float]:
         )
         g = o.household
     return g, t
+
+
+def assign(sim: SimState, oid: int, cid: int) -> None:
+    """Assign the order to the courier as the dispatch step does, with the
+    courier's projection for the order's restaurant and no reward audit."""
+    sim.apply_dispatch(oid, cid, sim.projected_arrival(cid, sim.orders[oid].restaurant), {})
 
 
 def queued_deliveries(c: Courier) -> int:

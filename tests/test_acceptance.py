@@ -175,8 +175,9 @@ def test_reward_oracles():
         for c in sim.couriers:
             if c.delivery_task_count() >= sim.config.max_delivery_tasks:
                 continue
-            got, audit = reward_assign(sim, oid, c.id, params)
-            g_future, d, arrival = sim.projected_arrival(c.id, order.restaurant)
+            projection = sim.projected_arrival(c.id, order.restaurant)
+            got, audit = reward_assign(sim, oid, projection, params)
+            g_future, d, arrival = projection
             sd = float(fresh_gap_field(sim)[g_future])
             gap = arrival - order.ready_time
             expect = (

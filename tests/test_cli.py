@@ -13,7 +13,7 @@ import pytest
 from mealtwin import cli
 from mealtwin.cli import EXPERIMENT_SCHEMA, main
 from mealtwin.errors import NumericalError
-from mealtwin.rlcore import ACT_LINEAR, ACT_RELU, NetSpec, QNet, load_qnet, save_qnet
+from mealtwin.rlcore import NetSpec, QNet, load_qnet, save_qnet
 from mealtwin.scenario import default_scenario, load_scenario, save_scenario
 from mealtwin.simcore import Event, events_from_csv, events_to_csv
 
@@ -161,6 +161,7 @@ def test_gen_scenario_default_region_takes_shift_and_rate_flags(tmp_path, capsys
             ["--cols", "3", "--rows", "3", "--restaurant-ids", "1,1"],
             "--restaurant-ids repeats grid 1",
         ),
+        (["--cols", "3", "--rows", "3", "--restaurant-ids", ""], "no restaurant grid"),
     ],
 )
 def test_gen_scenario_refuses_grid_ids_that_change_nothing(tmp_path, capsys, flags, grid):
@@ -398,12 +399,9 @@ def test_weight_fleet_mismatch(workspace, tmp_path, capsys):
     # before any shift runs, not mid-shift.
     scenario = str(workspace / "scenario.json")
     fleet = load_scenario(workspace / "scenario.json").fleet_size
-    relu, linear = ACT_RELU, ACT_LINEAR
-    short_dispatch = NetSpec(
-        1 + 3 * fleet, (32, fleet), (relu, linear), head_dim=1, embed_groups=fleet
-    )
-    short_steering = NetSpec(14, (32, 16, 5), (relu, relu, linear))
-    narrow_steering = NetSpec(10, (32, 16, 7), (relu, relu, linear))
+    short_dispatch = NetSpec(1 + 3 * fleet, (32, fleet), head_dim=1, embed_groups=fleet)
+    short_steering = NetSpec(14, (32, 16, 5))
+    narrow_steering = NetSpec(10, (32, 16, 7))
     bad_nets = [
         ("myopic", "--myopic-dispatch", short_dispatch),
         ("nearest_idle+steer", "--strategic-steering", short_steering),
@@ -466,6 +464,17 @@ def gbt_model(workspace):
     return model
 
 
+def _grid_entries(doc, changes):
+    """A forecast model document with `changes` made to every grid's entry."""
+    return {**doc, "grids": {gid: {**entry, **changes} for gid, entry in doc["grids"].items()}}
+
+
+def _without_restaurants(doc):
+    """A scenario document whose every restaurant flag is false."""
+    grids = [[gid, q, r, False] for gid, q, r, _ in doc["layout"]["grids"]]
+    return {**doc, "layout": {**doc["layout"], "grids": grids}}
+
+
 @pytest.mark.parametrize(
     "kind, corrupt",
     [
@@ -478,6 +487,9 @@ def gbt_model(workspace):
         ("weights", lambda doc: {**doc, "spec": {**doc["spec"], "input_dim": 14.5}}),
         ("forecast model", lambda doc: []),
         ("forecast model", lambda doc: {**doc, "grids": []}),
+        ("weights", lambda doc: {**doc, "spec": {**doc["spec"], "activations": ["relu", "relu"]}}),
+        ("forecast model", lambda doc: _grid_entries(doc, {"shrinkage": 5.0})),
+        ("scenario", _without_restaurants),
     ],
     ids=[
         "scenario []",
@@ -489,6 +501,9 @@ def gbt_model(workspace):
         "input_dim 14.5",
         "forecast model []",
         "grids []",
+        "relu output layer",
+        "two shrinkage values",
+        "no restaurant grid",
     ],
 )
 def test_malformed_saved_files_exit_2(workspace, gbt_model, tmp_path, capsys, kind, corrupt):

@@ -11,7 +11,6 @@ library policies and under reference policies built from
 """
 
 import copy
-import io
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +126,11 @@ def reference_dispatch(net):
         s, mask = fresh_dispatch_state(sim, oid)
         q = net.forward_batch(s[None])[0][0]
         action = reference_select_action(q, mask, 0.0, sim.rng_policy)
-        sd = float(s[3 + 3 * action]) if action < sim.config.fleet_size else None
-        apply_dispatch_decision(sim, oid, action, sd_gap=sd)
+        apply_dispatch_decision(sim, oid, action)
+        if action < sim.config.fleet_size:
+            # The reward's gap is the courier's entry in the fresh state.
+            assert sim.events[-1].event == "assigned"
+            assert sim.events[-1].detail["sd_gap"] == s[3 + 3 * action]
 
     return decide
 
@@ -143,26 +145,32 @@ def reference_steer(net):
     return decide
 
 
-def shift_log(config, mode: str, dispatch_fn, steer_fn) -> str:
+def shift_log(config, mode: str, dispatch_fn, steer_fn, path) -> str:
     predictor = OracleDemand(config) if mode == MODE_STRATEGIC else None
     sim = SimState(config, mode=mode, predictor=predictor, seed_key=(13,))
     sim.run(dispatch_fn, steer_fn)
-    buf = io.StringIO()
-    events_to_csv(sim.events, buf)
-    return buf.getvalue()
+    events_to_csv(sim.events, path)
+    return path.read_text()
 
 
 @pytest.mark.parametrize("mode", [MODE_STRATEGIC, MODE_MYOPIC])
-def test_library_policies_match_reference_policies(mode):
+def test_library_policies_match_reference_policies(mode, tmp_path):
     config = default_scenario(seed=4)
     dispatch_net = dispatch_qnet(config.fleet_size, rng=make_rng(21))
     steering_net = steering_qnet(rng=make_rng(22))
-    got = shift_log(config, mode, ConvDdqnPolicy(dispatch_net), SteerDdqnPolicy(steering_net))
+    got = shift_log(
+        config,
+        mode,
+        ConvDdqnPolicy(dispatch_net),
+        SteerDdqnPolicy(steering_net),
+        tmp_path / "library.csv",
+    )
     expected = shift_log(
         config,
         mode,
         reference_dispatch(copy.deepcopy(dispatch_net)),
         reference_steer(copy.deepcopy(steering_net)),
+        tmp_path / "reference.csv",
     )
     assert got == expected
     # The nets assign, postpone and move, so every branch ran.

@@ -35,7 +35,7 @@ from mealtwin.scenario import Order, ScenarioConfig, default_scenario, make_rng
 from mealtwin.simcore import IDLE, MODE_MYOPIC, MODE_STRATEGIC, SimState
 from mealtwin.trainer import TrainingPlan, _Learner
 
-from oracles import fresh_dispatch_state
+from oracles import assign, fresh_dispatch_state
 
 
 def quiet_config(fleet: int = 3) -> ScenarioConfig:
@@ -82,8 +82,8 @@ def test_encode_layout_and_mask():
     sim = make_sim(grids=(8, 7, 0))
     o = add_order(sim, restaurant=7, household=24, est=6.5, actual=9.0)
     busy = add_order(sim, restaurant=14, household=1, est=0.0, actual=0.0)
-    sim.apply_dispatch(busy.id, 2)
-    sim.apply_dispatch(add_order(sim, 14, 2, 0.0, 0.0).id, 2)  # courier 2 at cap
+    assign(sim, busy.id, 2)
+    assign(sim, add_order(sim, 14, 2, 0.0, 0.0).id, 2)  # courier 2 at cap
     s, mask = encode_dispatch_state(sim, o.id)
     assert s.shape == (10,) and mask.shape == (4,)
     assert s[0] == 6.5  # est_ready - clock
@@ -108,7 +108,7 @@ def test_reward_92_idle_courier_one_grid_out():
     add_order(sim, restaurant=8, household=0, est=3.0, actual=3.0)  # zeroes gap at 8
     o = add_order(sim, restaurant=7, household=13, est=3.0, actual=3.0)
     assert sim.gap_field()[8] == 0.0
-    reward, audit = reward_assign(sim, o.id, 0)
+    reward, audit = reward_assign(sim, o.id, sim.projected_arrival(0, o.restaurant))
     assert reward == 92.0
     assert audit == {"sd_gap": 0.0, "reward": 92.0}
 
@@ -118,9 +118,9 @@ def test_reward_85_busy_courier_late_arrival():
     # gap there negative: 100 - 5*2 - 5 = 85.
     sim = make_sim(grids=(7, 24, 24))
     first = add_order(sim, restaurant=7, household=7, est=2.0, actual=2.0)
-    sim.apply_dispatch(first.id, 0)  # done at minute 2, still at grid 7
+    assign(sim, first.id, 0)  # done at minute 2, still at grid 7
     o = add_order(sim, restaurant=7, household=13, est=0.0, actual=0.0)
-    reward, audit = reward_assign(sim, o.id, 0)
+    reward, audit = reward_assign(sim, o.id, sim.projected_arrival(0, o.restaurant))
     assert reward == 85.0
     assert audit["sd_gap"] == -1.0  # no idle supply at 7, one pending order
 
@@ -130,7 +130,7 @@ def test_reward_105_surplus_grid():
     # distance, on-time arrival: 100 + 5 = 105.
     sim = make_sim(grids=(7, 7, 24))
     o = add_order(sim, restaurant=7, household=13, est=0.0, actual=0.0)
-    reward, audit = reward_assign(sim, o.id, 0)
+    reward, audit = reward_assign(sim, o.id, sim.projected_arrival(0, o.restaurant))
     assert reward == 105.0
     assert audit["sd_gap"] == 1.0
 
@@ -139,16 +139,23 @@ def test_reward_early_arrival_component():
     # Meal ready 4 minutes after a zero-distance arrival: early penalty -1*4.
     sim = make_sim(grids=(7, 7, 24))
     o = add_order(sim, restaurant=7, household=13, est=4.0, actual=4.0)
-    reward, _ = reward_assign(sim, o.id, 0)
+    reward, _ = reward_assign(sim, o.id, sim.projected_arrival(0, o.restaurant))
     assert reward == 100.0 - 4.0 + 5.0
 
 
-def test_reward_sd_gap_override():
-    sim = make_sim(grids=(7, 7, 24))
-    o = add_order(sim, restaurant=7, household=13, est=0.0, actual=0.0)
-    reward, audit = reward_assign(sim, o.id, 0, sd_gap=-2.0)
-    assert reward == 95.0  # balance flips to -1 under the supplied gap
-    assert audit["sd_gap"] == -2.0
+def test_reward_reads_the_gap_where_the_courier_would_start():
+    """A busy courier's rebalancing term reads the gap at the grid where its
+    queued work ends, which is its entry in the dispatch state, not at the
+    grid it stands on."""
+    sim = make_sim(grids=(7, 7, 7))
+    assign(sim, add_order(sim, restaurant=7, household=13, est=0.0, actual=0.0).id, 0)
+    o = add_order(sim, restaurant=7, household=1, est=0.0, actual=0.0)
+    projection = sim.projected_arrival(0, o.restaurant)
+    assert projection[0] == 13 and sim.couriers[0].grid == 7
+    assert (sim.gap_field()[7], sim.gap_field()[13]) == (1, 0)
+    _, audit = reward_assign(sim, o.id, projection)
+    s, _ = encode_dispatch_state(sim, o.id)
+    assert audit["sd_gap"] == s[3] == 0.0
 
 
 def test_postpone_boundary_exactly_at_limit():
@@ -170,8 +177,9 @@ def test_apply_dispatch_decision_assign():
     o = add_order(sim, restaurant=7, household=13, est=0.0, actual=0.0)
     reward, removed = apply_dispatch_decision(sim, o.id, 0)
     assert (reward, removed) == (105.0, False)
-    assert o.assigned_courier == 0
+    assert o.status == "assigned"
     detail = [e for e in sim.events if e.event == "assigned"][0].detail
+    assert detail["courier"] == 0
     assert detail["sd_gap"] == 1.0 and detail["reward"] == 105.0
 
 
@@ -262,7 +270,7 @@ def test_nearest_idle_tie_break_uses_policy_stream():
 def test_nearest_idle_postpones_without_idle_couriers():
     sim = make_sim(fleet=2, grids=(7, 7))
     for hh in (1, 2):
-        sim.apply_dispatch(add_order(sim, 7, hh, 0.0, 0.0).id, hh - 1)
+        assign(sim, add_order(sim, 7, hh, 0.0, 0.0).id, hh - 1)
     o = add_order(sim, restaurant=7, household=3, est=0.0, actual=0.0)
     trace = []
     policy = NearestIdlePolicy(trace=trace)
@@ -287,7 +295,7 @@ def test_conv_policy_greedy_matches_network_argmax():
     assert trace[0]["q_max"] == pytest.approx(float(q[expect]))
     if expect < 3:
         detail = [e for e in sim.events if e.event == "assigned"][0].detail
-        # The audit gap comes from the encoded state, not a fresh lookup.
+        # The audit gap is the chosen courier's entry in the encoded state.
         assert detail["sd_gap"] == s[3 + 3 * expect]
 
 

@@ -45,6 +45,8 @@ from mealtwin.rlcore import dispatch_qnet, steering_qnet
 from mealtwin.scenario import default_scenario, make_rng
 from mealtwin.simcore import MODE_MYOPIC, Event, events_from_csv, events_to_csv
 
+from oracles import assign
+
 
 def ev(minute, entity, event, detail):
     return Event(minute=minute, entity=entity, event=event, detail=detail)
@@ -123,7 +125,7 @@ def test_matched_seed_keys_share_order_streams():
     def eager(sim, oid, remaining):
         for c in sim.couriers:
             if c.delivery_task_count() < 2:
-                sim.apply_dispatch(oid, c.id)
+                assign(sim, oid, c.id)
                 return
 
     a = run_shift(config, MODE_MYOPIC, NearestIdlePolicy(), None, None, (9, 3))

@@ -10,7 +10,6 @@ the new value is pinned here together with that change.
 """
 
 import hashlib
-import io
 
 import pytest
 
@@ -26,10 +25,10 @@ PINNED = {
 
 
 @pytest.mark.parametrize("mode", [MODE_STRATEGIC, MODE_MYOPIC])
-def test_nearest_idle_event_log_digest(mode):
+def test_nearest_idle_event_log_digest(mode, tmp_path):
     config = default_scenario(seed=3)
     sim = SimState(config, mode=mode, predictor=OracleDemand(config), seed_key=(7,))
     sim.run(NearestIdlePolicy())
-    buf = io.StringIO()
-    events_to_csv(sim.events, buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PINNED[mode]
+    path = tmp_path / "events.csv"
+    events_to_csv(sim.events, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[mode]

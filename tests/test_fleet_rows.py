@@ -29,6 +29,7 @@ from mealtwin.simcore import DELIVERY, IDLE, MODE_MYOPIC, MODE_STRATEGIC, WAITIN
 from mealtwin.steering import STAY, apply_steer_decision, encode_steer_state, reward_reallocate
 
 from oracles import (
+    assign,
     fresh_dispatch_state,
     fresh_eligible_ids,
     fresh_gap_field,
@@ -260,7 +261,7 @@ def test_refused_actions_leave_held_state_unchanged(mode):
     # Fill one courier to the cap so that a dispatch to it is refused.
     full = sim.couriers[0]
     while full.delivery_task_count() < config.max_delivery_tasks:
-        sim.apply_dispatch(sim.pending[0], full.id)
+        assign(sim, sim.pending[0], full.id)
     assert sim.pending
     done = next(o.id for o in sim.orders.values() if o.status != "pending")
     idle = next(c for c in sim.couriers if c.status == IDLE)
@@ -270,8 +271,8 @@ def test_refused_actions_leave_held_state_unchanged(mode):
         if g != idle.grid and g not in sim.region.neighbor_ids(idle.grid)
     )
     refused = [
-        lambda: sim.apply_dispatch(done, idle.id),
-        lambda: sim.apply_dispatch(sim.pending[0], full.id),
+        lambda: assign(sim, done, idle.id),
+        lambda: assign(sim, sim.pending[0], full.id),
         lambda: sim.apply_postpone(done, True),
         lambda: sim.apply_reallocation(busy.id, sim.region.neighborhoods[busy.grid][1]),
         lambda: sim.apply_reallocation(idle.id, far),

@@ -679,6 +679,7 @@ def test_corrupt_model_file_refused_at_load(tmp_path, case):
         ("params.shrinkage", math.nan),
         ("base_score", math.inf),
         ("shrinkage", math.nan),
+        ("shrinkage", 5.0),  # differs from params.shrinkage, 0.1
     ],
 )
 def test_model_file_numbers_checked_at_load(tmp_path, key, value):

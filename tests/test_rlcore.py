@@ -1,5 +1,6 @@
 """Neural Q-learning machinery tests against small hand-checkable cases."""
 
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from mealtwin.errors import ConfigError, ContractError, NumericalError
 from mealtwin.rlcore import (
-    ACT_LINEAR,
-    ACT_RELU,
+    GAMMA,
+    LEARNING_RATE,
     Adam,
     Batch,
     MASKED_Q,
@@ -43,7 +44,7 @@ from oracles import (
 
 def tiny_net() -> QNet:
     """2 -> 2 relu -> 2 linear with hand-set weights."""
-    net = QNet(NetSpec(input_dim=2, layer_dims=(2, 2), activations=(ACT_RELU, ACT_LINEAR)))
+    net = QNet(NetSpec(input_dim=2, layer_dims=(2, 2)))
     net.weights[0][:] = [[1.0, -1.0], [0.0, 2.0]]
     net.biases[0][:] = [0.5, -0.5]
     net.weights[1][:] = [[1.0, 0.0], [1.0, 1.0]]
@@ -81,12 +82,7 @@ def test_embedding_front_shared_weights():
 
 def test_embedding_spec_validation():
     with pytest.raises(ConfigError):
-        NetSpec(input_dim=8, layer_dims=(4,), activations=(ACT_LINEAR,), head_dim=1,
-                embed_groups=2)  # needs 1 + 3*2 = 7
-    with pytest.raises(ConfigError):
-        NetSpec(input_dim=2, layer_dims=(2,), activations=("tanh",))
-    with pytest.raises(ConfigError):
-        NetSpec(input_dim=2, layer_dims=(2, 2), activations=(ACT_RELU,))
+        NetSpec(input_dim=8, layer_dims=(4,), head_dim=1, embed_groups=2)  # needs 1 + 3*2 = 7
 
 
 def test_glorot_init_bounds():
@@ -167,13 +163,13 @@ def test_preactivation_margin():
     net = tiny_net()
     # x = (1, 1) gives pre-activations (1.5, 0.5) at the relu layer.
     assert preactivation_margin(net, np.array([[1.0, 1.0]])) == pytest.approx(0.5)
-    linear = QNet(NetSpec(input_dim=2, layer_dims=(2,), activations=(ACT_LINEAR,)))
+    linear = QNet(NetSpec(input_dim=2, layer_dims=(2,)))  # its one layer is the output
     assert preactivation_margin(linear, np.zeros((1, 2))) == np.inf
 
 
 def test_adam_reference_steps():
     params = np.array([1.0])
-    adam = Adam(1, lr=0.1)
+    adam = Adam(1)
     g1, g2 = np.array([0.4]), np.array([-0.2])
     adam.step(params, g1)
     adam.step(params, g2)
@@ -182,18 +178,17 @@ def test_adam_reference_steps():
     for t, g in ((1, 0.4), (2, -0.2)):
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
-        p -= 0.1 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        p -= LEARNING_RATE * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
     assert params[0] == pytest.approx(p, abs=1e-12)
 
 
 def test_learn_matches_reference_pipeline():
     rng = make_rng(17)
-    spec = NetSpec(input_dim=3, layer_dims=(4, 2), activations=(ACT_RELU, ACT_LINEAR))
-    net = QNet(spec, make_rng(3))
+    net = QNet(NetSpec(input_dim=3, layer_dims=(4, 2)), make_rng(3))
     ref = net.clone()
     target = net.clone()
-    adam = Adam(net.params.size, lr=1e-2)
-    ref_adam = Adam(net.params.size, lr=1e-2)
+    adam = Adam(net.params.size)
+    ref_adam = Adam(net.params.size)
     for _ in range(5):
         batch = Batch(
             s=rng.normal(size=(6, 3)),
@@ -203,10 +198,10 @@ def test_learn_matches_reference_pipeline():
             done=rng.random(6) < 0.5,
             mask2=np.ones((6, 2), dtype=bool),
         )
-        learn(net, target, batch, adam, gamma=0.8)
+        learn(net, target, batch, adam)
         # Reference: targets from the frozen net, clip THEN Adam.
         q2, _ = target.forward_batch(batch.s2)
-        y = batch.r + 0.8 * q2.max(axis=1) * (~batch.done)
+        y = batch.r + GAMMA * q2.max(axis=1) * (~batch.done)
         _, grad = loss_and_grad(ref, batch.s, batch.a, y)
         assert np.abs(grad).max() > 0.5  # clipping is actually exercised
         ref_adam.step(ref.params, np.clip(grad, -0.5, 0.5))
@@ -314,8 +309,7 @@ def test_select_action_greedy_consumes_no_randomness():
 
 
 def test_td_targets_hand_case():
-    spec = NetSpec(input_dim=2, layer_dims=(2,), activations=(ACT_LINEAR,))
-    target = QNet(spec)
+    target = QNet(NetSpec(input_dim=2, layer_dims=(2,)))
     target.biases[0][:] = [3.0, 7.0]  # zero weights: q2 = biases everywhere
     batch = Batch(
         s=np.zeros((3, 2)),
@@ -325,7 +319,8 @@ def test_td_targets_hand_case():
         done=np.array([True, False, False]),
         mask2=np.array([[True, True], [True, True], [True, False]]),
     )
-    y = td_targets(target, batch, gamma=0.8)
+    y = td_targets(target, batch)
+    assert GAMMA == 0.8
     assert y == pytest.approx([1.0, 1.0 + 0.8 * 7.0, 1.0 + 0.8 * 3.0])
     assert MASKED_Q == -1e9
 
@@ -367,12 +362,28 @@ def test_load_qnet_rejects_malformed(tmp_path):
         load_qnet(path)
     net = steering_qnet(rng=make_rng(7))
     save_qnet(path, net)
-    import json
-
     doc = json.loads(path.read_text())
     doc["layers"][0]["w"] = [[1.0, 2.0]]
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
+        load_qnet(path)
+
+
+@pytest.mark.parametrize(
+    "activations",
+    [["relu", "relu", "relu"], ["relu", "tanh", "linear"], ["relu", "linear"], "linear"],
+    ids=["relu-output", "unknown", "too-few", "not-a-list"],
+)
+def test_load_qnet_refuses_any_other_activation_list(tmp_path, activations):
+    """Every layer but the last is relu and the last is linear; a file that
+    lists anything else is refused rather than run as some other net."""
+    path = tmp_path / "steering.json"
+    save_qnet(path, steering_qnet(rng=make_rng(7)))
+    doc = json.loads(path.read_text())
+    assert doc["spec"]["activations"] == ["relu", "relu", "linear"]
+    doc["spec"]["activations"] = activations
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="activations"):
         load_qnet(path)
 
 

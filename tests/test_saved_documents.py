@@ -46,7 +46,7 @@ def _save_weights(path):
 
 def _save_models(path):
     tree = RegressionTree([2, -1, -1], [1.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, 1.0, 3.0])
-    save_demand_models(path, {1: GBTEnsemble(0.5, 0.1, [tree], GBTParams(rounds=1))})
+    save_demand_models(path, {1: GBTEnsemble(0.5, [tree], GBTParams(rounds=1))})
 
 
 def _save_comparison(path):

@@ -4,8 +4,6 @@ Random arrivals are switched off (zero rates) and orders injected directly,
 so every task milestone can be checked against explicit arithmetic.
 """
 
-import io
-
 import numpy as np
 import pytest
 
@@ -26,6 +24,8 @@ from mealtwin.simcore import (
     events_from_csv,
     events_to_csv,
 )
+
+from oracles import assign
 
 
 def quiet_config(fleet: int = 3) -> ScenarioConfig:
@@ -49,6 +49,12 @@ def add_order(sim: SimState, restaurant: int, household: int, est: float, actual
     )
     sim.place_order(o)
     return o
+
+
+def logged(sim: SimState, o: Order, event: str) -> dict:
+    """The detail of the order's one `event` entry in the event log."""
+    (detail,) = [e.detail for e in sim.events if e.entity == f"order:{o.id}" and e.event == event]
+    return detail
 
 
 def make_sim(fleet: int = 3, mode: str = MODE_MYOPIC, grids=(0, 0, 0)) -> SimState:
@@ -87,20 +93,21 @@ def test_delivery_milestones_exact():
     sim = make_sim()
     assert sim.region.distance(0, 7) == 3 and sim.region.distance(7, 24) == 3
     o = add_order(sim, restaurant=7, household=24, est=5.0, actual=5.0)
-    sim.apply_dispatch(o.id, 0)
+    assign(sim, o.id, 0)
     c = sim.couriers[0]
     # Travel 3 units at 3 min each; the meal (ready at 5.0) waits for nobody.
     assert c.arrive_time == 9.0
     assert c.pickup_time == 9.0
     assert c.done_time == 18.0
-    assert o.status == "assigned" and o.assigned_courier == 0
-    assert o.pickup_distance == 3 and o.courier_arrival == 9.0
+    assert o.status == "assigned"
+    assigned = logged(sim, o, "assigned")
+    assert (assigned["courier"], assigned["pickup_distance"], assigned["arrival"]) == (0, 3, 9.0)
     tick(sim, 9)
     assert c.status == TO_DELIVERY  # picked up at minute 9 exactly
-    assert o.status == "picked_up" and o.pickup_time == 9.0
+    assert o.status == "picked_up" and logged(sim, o, "pickup")["time"] == 9.0
     tick(sim, 9)
     assert c.status == IDLE and c.grid == 24
-    assert o.status == "delivered" and o.delivered_at == 18.0
+    assert o.status == "delivered" and logged(sim, o, "delivered")["time"] == 18.0
     assert c.distance == 6 and c.served == 1
     assert c.idle_since == 18.0
     assert sim.delivered == 1
@@ -109,7 +116,7 @@ def test_delivery_milestones_exact():
 def test_waiting_interposed_when_meal_not_ready():
     sim = make_sim()
     o = add_order(sim, restaurant=7, household=24, est=12.0, actual=20.5)
-    sim.apply_dispatch(o.id, 0)
+    assign(sim, o.id, 0)
     c = sim.couriers[0]
     assert c.arrive_time == 9.0
     assert c.pickup_time == 20.5  # actual ready beats arrival
@@ -129,18 +136,18 @@ def test_waiting_interposed_when_meal_not_ready():
         (WAITING, TO_DELIVERY, 20.5),
     ]
     tick(sim, 9)
-    assert c.status == IDLE and o.delivered_at == 29.5
+    assert c.status == IDLE and logged(sim, o, "delivered")["time"] == 29.5
 
 
 def test_same_minute_zero_distance_delivery():
     sim = make_sim(grids=(7, 0, 0))
     o = add_order(sim, restaurant=7, household=7, est=0.0, actual=0.0)
-    sim.apply_dispatch(o.id, 0)
+    assign(sim, o.id, 0)
     c = sim.couriers[0]
     assert c.done_time == 0.0
     tick(sim)
     assert c.status == IDLE and c.grid == 7
-    assert o.status == "delivered" and o.delivered_at == 0.0
+    assert o.status == "delivered" and logged(sim, o, "delivered")["time"] == 0.0
     assert c.distance == 0 and c.idle_since == 0.0
 
 
@@ -148,13 +155,13 @@ def test_task_chaining_and_cap():
     sim = make_sim(grids=(7, 0, 0))
     a = add_order(sim, restaurant=7, household=24, est=0.0, actual=0.0)
     b = add_order(sim, restaurant=7, household=0, est=0.0, actual=0.0)
-    sim.apply_dispatch(a.id, 0)
-    sim.apply_dispatch(b.id, 0)
+    assign(sim, a.id, 0)
+    assign(sim, b.id, 0)
     c = sim.couriers[0]
     assert c.delivery_task_count() == 2
     third = add_order(sim, restaurant=7, household=1, est=0.0, actual=0.0)
     with pytest.raises(ContractError):
-        sim.apply_dispatch(third.id, 0)
+        assign(sim, third.id, 0)
     # First delivery lands at 9.0; the second leg starts exactly then.
     tick(sim, 10)
     assert c.status == TO_PICKUP and c.arrive_time == 9.0 + 3 * sim.region.distance(24, 7)
@@ -162,7 +169,7 @@ def test_task_chaining_and_cap():
     # 24 -> 7 takes 9 minutes, then 7 -> 0 another 9.
     assert c.arrive_time == 18.0 and c.done_time == 27.0
     tick(sim, 9)  # clock 19: picked up at 18, still en route
-    assert b.status == "picked_up" and b.pickup_time == 18.0
+    assert b.status == "picked_up" and logged(sim, b, "pickup")["time"] == 18.0
     tick(sim, 8)  # clock 27 == done_time
     assert c.status == IDLE and c.grid == 0
     assert c.served == 2 and c.distance == 9
@@ -171,7 +178,7 @@ def test_task_chaining_and_cap():
 def test_projected_arrival_matches_realized_times():
     sim = make_sim(grids=(0, 0, 0))
     a = add_order(sim, restaurant=7, household=13, est=4.0, actual=11.25)
-    sim.apply_dispatch(a.id, 0)
+    assign(sim, a.id, 0)
     # Projection for a follow-up order must reproduce the engine arithmetic,
     # actual prep times included.
     g, d, arrival = sim.projected_arrival(0, 18)
@@ -180,20 +187,20 @@ def test_projected_arrival_matches_realized_times():
     done_first = max(9.0, 11.25) + 3 * sim.region.distance(7, 13)
     assert arrival == done_first + 3 * d
     b = add_order(sim, restaurant=18, household=2, est=0.0, actual=0.0)
-    sim.apply_dispatch(b.id, 0)
-    assert b.courier_arrival == arrival
+    assign(sim, b.id, 0)
+    assert logged(sim, b, "assigned")["arrival"] == arrival
     final_done = arrival + 3 * sim.region.distance(18, 2)
     tick(sim, int(np.ceil(final_done)) + 1)
     c = sim.couriers[0]
     assert c.status == IDLE
-    assert a.delivered_at == done_first
-    assert b.pickup_time == max(arrival, b.ready_time)
+    assert logged(sim, a, "delivered")["time"] == done_first
+    assert logged(sim, b, "pickup")["time"] == max(arrival, b.ready_time)
 
 
 def test_eta_idle_uses_kitchen_estimates():
     sim = make_sim()
     o = add_order(sim, restaurant=7, household=24, est=30.0, actual=3.0)
-    sim.apply_dispatch(o.id, 0)
+    assign(sim, o.id, 0)
     g, dt = sim.courier_eta_idle(0)
     assert g == 24
     # Policy-visible wait uses est_ready (30), not the realized 3.0.
@@ -229,11 +236,11 @@ def test_dispatch_queued_behind_reallocation():
     target = next(n for n in sim.region.neighbor_ids(12) if n is not None)
     sim.apply_reallocation(0, target)
     o = add_order(sim, restaurant=7, household=24, est=0.0, actual=0.0)
-    sim.apply_dispatch(o.id, 0)
+    assign(sim, o.id, 0)
     c = sim.couriers[0]
     assert [t.kind for t in c.queue] == ["reallocate", "delivery"]
     # Pickup leg starts at the reallocation finish, from the new grid.
-    assert o.courier_arrival == 3.0 + 3 * sim.region.distance(target, 7)
+    assert logged(sim, o, "assigned")["arrival"] == 3.0 + 3 * sim.region.distance(target, 7)
     tick(sim, 4)
     assert c.status == TO_PICKUP and c.active_from == target
     assert c.arrive_time == 3.0 + 3 * sim.region.distance(target, 7)
@@ -261,7 +268,7 @@ def test_steering_eligibility_strictly_beyond_threshold():
     tick(sim)
     assert sim.eligible_steering_ids() == [0, 1, 2]
     o = add_order(sim, restaurant=7, household=1, est=9.0, actual=9.0)
-    sim.apply_dispatch(o.id, 1)
+    assign(sim, o.id, 1)
     assert sim.eligible_steering_ids() == [0, 2]
 
 
@@ -284,7 +291,7 @@ def test_idle_counts_are_taken_before_the_first_action(first):
     when nothing has read them yet, so they see that courier leave idle."""
     sim = make_sim(fleet=3, grids=(7, 7, 8))
     if first == "dispatch":
-        sim.apply_dispatch(add_order(sim, restaurant=7, household=0, est=5.0, actual=5.0).id, 0)
+        assign(sim, add_order(sim, restaurant=7, household=0, est=5.0, actual=5.0).id, 0)
     else:
         sim.apply_reallocation(0, next(g for g in sim.region.neighbor_ids(7) if g is not None))
     counts = sim.idle_counts()
@@ -309,8 +316,8 @@ def test_anticipated_gap_field():
     assert sim.region.distance(7, 20) == 4
     far = add_order(sim, restaurant=7, household=20, est=4.0, actual=4.0)
     near = add_order(sim, restaurant=7, household=13, est=4.0, actual=4.0)
-    sim.apply_dispatch(far.id, 0)  # idle at 20 at minute 16, outside window
-    sim.apply_dispatch(near.id, 1)  # idle at 13 at minute 7, inside window
+    assign(sim, far.id, 0)  # idle at 20 at minute 16, outside window
+    assign(sim, near.id, 1)  # idle at 13 at minute 7, inside window
     sim.refresh_predictions()
     field = sim.gap_field()  # strategic: anticipated over 15 minutes
     assert field[0] == 1  # the only courier idle right now
@@ -356,7 +363,7 @@ def test_round_half_up():
 def test_snapshot_and_summary_accounting():
     sim = make_sim(fleet=2, grids=(7, 8))
     o = add_order(sim, restaurant=7, household=9, est=2.0, actual=2.0)
-    sim.apply_dispatch(o.id, 0)
+    assign(sim, o.id, 0)
     while sim.clock < sim.config.shift_minutes:
         sim.step(noop)
     with pytest.raises(ContractError):
@@ -391,7 +398,7 @@ def test_status_event_legality_over_a_random_shift():
         o = s.orders[oid]
         for c in s.couriers:
             if c.status == IDLE and c.delivery_task_count() < 2:
-                s.apply_dispatch(oid, c.id)
+                assign(s, oid, c.id)
                 return
         if s.clock - o.ready_time > s.config.overdue_limit_min:
             s.apply_postpone(oid, remove_overdue=True)
@@ -428,16 +435,11 @@ def test_minute_counts_track_placements():
 def test_events_csv_round_trip(tmp_path):
     sim = make_sim()
     o = add_order(sim, restaurant=7, household=3, est=1.5, actual=2.25)
-    sim.apply_dispatch(o.id, 0)
+    assign(sim, o.id, 0)
     tick(sim, 2)
     path = tmp_path / "events.csv"
     events_to_csv(sim.events, path)
-    back = events_from_csv(path)
-    assert back == sim.events
-    buf = io.StringIO()
-    events_to_csv(sim.events, buf)
-    buf.seek(0)
-    assert events_from_csv(buf) == sim.events
+    assert events_from_csv(path) == sim.events
 
 
 def test_events_csv_rejects_garbage(tmp_path):
@@ -448,21 +450,22 @@ def test_events_csv_rejects_garbage(tmp_path):
     path.write_text("minute,entity,event,detail\n0,x,y,{not json}\n")
     with pytest.raises(ConfigError):
         events_from_csv(path)
-    assert events_from_csv(io.StringIO("minute,entity,event,detail\n")) == []
+    path.write_text("minute,entity,event,detail\n")
+    assert events_from_csv(path) == []
 
 
-def test_all_event_details_json_safe():
+def test_all_event_details_json_safe(tmp_path):
     sim = SimState(default_scenario(seed=2, fleet_size=5), mode=MODE_MYOPIC, seed_key=(1,))
 
     def eager(s, oid, remaining):
         for c in s.couriers:
             if c.delivery_task_count() < 2:
-                s.apply_dispatch(oid, c.id)
+                assign(s, oid, c.id)
                 return
 
     tick_target = 40
     for _ in range(tick_target):
         sim.step(eager)
-    buf = io.StringIO()
-    events_to_csv(sim.events, buf)  # json.dumps raises on numpy leakage
-    assert buf.getvalue().startswith("minute,entity,event,detail")
+    path = tmp_path / "events.csv"
+    events_to_csv(sim.events, path)  # json.dumps raises on numpy leakage
+    assert path.read_text().startswith("minute,entity,event,detail")

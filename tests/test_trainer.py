@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mealtwin import trainer
+from mealtwin import rlcore, trainer
 from mealtwin.errors import ConfigError, ContractError
 from mealtwin.forecast import OracleDemand
 from mealtwin.rlcore import EPSILON_START, dispatch_qnet
@@ -173,7 +173,7 @@ def test_forced_extension_and_early_convergence(monkeypatch):
 def test_divergent_learning_rate_aborts_cleanly(monkeypatch):
     # Clipped gradients keep moderate blowups finite; a step of 1e200 pushes
     # the next forward pass past float range and must abort the phase.
-    monkeypatch.setattr(trainer, "LEARNING_RATE", 1e200)
+    monkeypatch.setattr(rlcore, "LEARNING_RATE", 1e200)
     plan = TrainingPlan(episodes=(3, 1, 1), seed=3)
     with np.errstate(invalid="ignore", over="ignore"):
         _, _, report = sandwich_train(plan, default_scenario(seed=3))
