@@ -52,11 +52,12 @@ def lag_window_counts(counts: np.ndarray, minute) -> np.ndarray:
     """
     n = counts.shape[-1]
     cumulative = np.zeros(counts.shape[:-1] + (n + 1,), dtype=np.float64)
-    np.cumsum(counts, axis=-1, out=cumulative[..., 1:])
-    edges = [
-        cumulative[..., np.clip(minute - WINDOW_MIN * k + 1, 0, n)] for k in range(NUM_LAGS + 1)
-    ]
-    return np.stack([edges[k] - edges[k + 1] for k in range(NUM_LAGS)], axis=-1)
+    cumulative[..., 1:] = counts
+    cumulative.cumsum(axis=-1, out=cumulative)
+    # Edge k is the count through minute - 15k, so window k is edge k-1 minus edge k.
+    at = np.add.outer(minute, 1 - WINDOW_MIN * np.arange(NUM_LAGS + 1))
+    edges = cumulative.take(np.minimum(np.maximum(at, 0), n), axis=-1)
+    return edges[..., :-1] - edges[..., 1:]
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,8 @@ class NetSpec:
     embed_groups: int = 0  # courier triples consumed by the shared embedding
 
     def __post_init__(self) -> None:
+        if not self.layer_dims:
+            raise ConfigError("a net needs at least one layer, its output layer")
         if self.embed_groups:
             expected = self.head_dim + 3 * self.embed_groups
             if self.input_dim != expected:

@@ -490,6 +490,9 @@ def _without_restaurants(doc):
         ("weights", lambda doc: {**doc, "spec": {**doc["spec"], "activations": ["relu", "relu"]}}),
         ("forecast model", lambda doc: _grid_entries(doc, {"shrinkage": 5.0})),
         ("scenario", _without_restaurants),
+        ("weights", lambda doc: {
+            **doc, "spec": {**doc["spec"], "layer_dims": [], "activations": []}, "layers": []
+        }),
     ],
     ids=[
         "scenario []",
@@ -504,6 +507,7 @@ def _without_restaurants(doc):
         "relu output layer",
         "two shrinkage values",
         "no restaurant grid",
+        "no layers",
     ],
 )
 def test_malformed_saved_files_exit_2(workspace, gbt_model, tmp_path, capsys, kind, corrupt):

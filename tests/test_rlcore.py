@@ -83,6 +83,8 @@ def test_embedding_front_shared_weights():
 def test_embedding_spec_validation():
     with pytest.raises(ConfigError):
         NetSpec(input_dim=8, layer_dims=(4,), head_dim=1, embed_groups=2)  # needs 1 + 3*2 = 7
+    with pytest.raises(ConfigError):
+        NetSpec(input_dim=2, layer_dims=())  # no output layer
 
 
 def test_glorot_init_bounds():
